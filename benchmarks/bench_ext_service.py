@@ -2,7 +2,7 @@
 
 The serving layer (:mod:`repro.service`) promises every session an answer
 within a hard per-decision deadline while many sessions share one
-instance.  Two benches live here:
+instance.  Three benches live here:
 
 * the single-process bench drives one :class:`DecisionService` from
   concurrent client threads on the 6-rung ladder and gates aggregate
@@ -18,16 +18,14 @@ instance.  Two benches live here:
   under the deadline — overload is absorbed by shedding to the floor
   rule (recorded as a shed rate), never by queueing past the budget.
 
-All write JSON artifacts for CI trend tracking: the single-process
-bench a snapshot (``service_perf.json``); the sharded and overload
-benches append run entries (modes ``sharded-batch`` and ``overload``)
-to the root-level ``BENCH_service.json`` perf journal.  Run
+All three append run entries (modes ``in-process``, ``sharded-batch``
+and ``overload``) to the ``BENCH_service.json`` perf journal for CI
+trend tracking.  Run
 ``python benchmarks/bench_ext_service.py --shards N --out
 BENCH_service.json`` for the sharded bench standalone, or add
 ``--overload`` for the overload bench.
 """
 
-import json
 import os
 import sys
 import threading
@@ -55,7 +53,6 @@ DECISIONS_PER_THREAD = int(
 THREADS = int(os.environ.get("REPRO_BENCH_SERVICE_THREADS", "4"))
 DEADLINE = 0.05
 MAX_BUFFER = 20.0
-ARTIFACT = os.environ.get("REPRO_BENCH_SERVICE_ARTIFACT", "service_perf.json")
 #: acceptance floor for aggregate decision throughput
 REQUIRED_DECISIONS_PER_SEC = 1000.0
 
@@ -363,6 +360,7 @@ def _assert_overload_gates(entry):
 
 def test_service_throughput_and_tail_latency(benchmark):
     from conftest import banner, run_once
+    from repro.cli import _append_perf_entry
 
     ladder = youtube_4k_ladder()
     assert ladder.levels >= 6
@@ -411,24 +409,24 @@ def test_service_throughput_and_tail_latency(benchmark):
           f"table={stats.tier1_decisions} rule={stats.tier2_decisions} "
           f"shed={stats.shed}")
 
-    artifact = {
+    _append_perf_entry(JOURNAL, {
+        "mode": "in-process",
         "ladder": ladder.name,
         "levels": ladder.levels,
         "threads": THREADS,
         "decisions_timed": timed,
-        "decisions_per_sec": round(rate, 1),
+        "decisions_per_second": round(rate, 1),
         "deadline_seconds": DEADLINE,
-        "latency_seconds": {k: round(v, 6) for k, v in latency.items()},
-        "latency_max_seconds": round(snapshot.latency_max, 6),
+        "latency": {
+            **{f"{k}_seconds": round(v, 6) for k, v in latency.items()},
+            "max_seconds": round(snapshot.latency_max, 6),
+        },
         "tier0_decisions": stats.tier0_decisions,
         "tier1_decisions": stats.tier1_decisions,
         "tier2_decisions": stats.tier2_decisions,
         "shed": stats.shed,
-    }
-    with open(ARTIFACT, "w", encoding="utf-8") as f:
-        json.dump(artifact, f, indent=2)
-        f.write("\n")
-    print(f"wrote {ARTIFACT}")
+    })
+    print(f"appended run to {JOURNAL}")
 
     assert rate >= REQUIRED_DECISIONS_PER_SEC, (
         f"service below {REQUIRED_DECISIONS_PER_SEC:.0f} decisions/sec: "

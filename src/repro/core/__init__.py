@@ -6,9 +6,7 @@ from .fastpath import (
     monotone_candidate_count,
     monotone_candidates,
     product_candidates,
-    solve_brute_force_batch,
     solve_brute_force_fast,
-    solve_monotonic_batch,
     solve_monotonic_fast,
 )
 from .lookup import DecisionTable
@@ -59,8 +57,6 @@ __all__ = [
     "product_candidates",
     "solve_monotonic_fast",
     "solve_brute_force_fast",
-    "solve_monotonic_batch",
-    "solve_brute_force_batch",
     "OfflineSolution",
     "RolloutResult",
     "offline_optimal",

@@ -166,10 +166,10 @@ class SodaController(AbrController):
     ) -> Optional[int]:
         """Fallback rules turning a solved plan into a committed rung.
 
-        Split out of :meth:`_select` so batch consumers (the FastMPC-style
-        :class:`~repro.core.lookup.DecisionTable` build) can solve many
-        situations in one kernel call and still apply byte-identical
-        post-processing per cell.
+        Split out of :meth:`_select` so callers that solve elsewhere —
+        :func:`select_quality_batch` and the FastMPC-style
+        :class:`~repro.core.lookup.DecisionTable` build — apply
+        byte-identical post-processing to each plan.
         """
         cfg = self.config
         dt = ladder.segment_duration

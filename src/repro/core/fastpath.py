@@ -54,8 +54,6 @@ __all__ = [
     "monotone_candidate_count",
     "solve_monotonic_fast",
     "solve_brute_force_fast",
-    "solve_monotonic_batch",
-    "solve_brute_force_batch",
     "solve_sessions_batch",
     "SessionSolveRequest",
     "PlanCache",
@@ -358,81 +356,6 @@ def solve_brute_force_fast(
     return _solve_bundle(
         bundle, pred, float(buffer_level), cfg, cfg.resolve_target(max_buffer),
         max_buffer, first_cap, terminal_weight,
-    )
-
-
-def _solve_batch(
-    bundle_fn,
-    omega: Sequence[float] | float,
-    buffer_levels: Sequence[float],
-    prev_quality: Optional[int],
-    ladder: BitrateLadder,
-    cfg: SodaConfig,
-    max_buffer: float,
-    dt: Optional[float],
-    first_caps,
-    terminal_weight: float,
-) -> List[PlanResult]:
-    dt = ladder.segment_duration if dt is None else dt
-    pred = _pred(omega, cfg.horizon)
-    bundle = bundle_fn(tuple(ladder.bitrates), cfg, prev_quality, dt)
-    target = cfg.resolve_target(max_buffer)
-    x0s = np.atleast_1d(np.asarray(buffer_levels, dtype=float))
-    if first_caps is None:
-        caps = [None] * x0s.shape[0]
-    else:
-        caps = list(first_caps)
-        if len(caps) != x0s.shape[0]:
-            raise ValueError("first_caps length must match buffer_levels")
-    return [
-        _solve_bundle(
-            bundle, pred, float(x0), cfg, target, max_buffer, cap,
-            terminal_weight,
-        )
-        for x0, cap in zip(x0s, caps)
-    ]
-
-
-def solve_monotonic_batch(
-    omega: Sequence[float] | float,
-    buffer_levels: Sequence[float],
-    prev_quality: Optional[int],
-    ladder: BitrateLadder,
-    cfg: SodaConfig,
-    max_buffer: float,
-    dt: Optional[float] = None,
-    first_caps=None,
-    terminal_weight: float = 0.0,
-) -> List[PlanResult]:
-    """Algorithm 1 for one (ω, previous rung) across many buffer levels.
-
-    The candidate bundle (enumeration, distortion, switching costs) is
-    built once and shared by every buffer level — this is the scorer the
-    FastMPC-style :class:`~repro.core.lookup.DecisionTable` builds tables
-    with.  ``first_caps`` may be ``None`` or a per-buffer sequence of
-    optional first-rung caps.
-    """
-    return _solve_batch(
-        _monotone_bundle, omega, buffer_levels, prev_quality, ladder, cfg,
-        max_buffer, dt, first_caps, terminal_weight,
-    )
-
-
-def solve_brute_force_batch(
-    omega: Sequence[float] | float,
-    buffer_levels: Sequence[float],
-    prev_quality: Optional[int],
-    ladder: BitrateLadder,
-    cfg: SodaConfig,
-    max_buffer: float,
-    dt: Optional[float] = None,
-    first_caps=None,
-    terminal_weight: float = 0.0,
-) -> List[PlanResult]:
-    """Exhaustive |R|^K search, batched over buffer levels."""
-    return _solve_batch(
-        _brute_bundle, omega, buffer_levels, prev_quality, ladder, cfg,
-        max_buffer, dt, first_caps, terminal_weight,
     )
 
 

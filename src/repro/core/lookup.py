@@ -31,8 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..sim.video import BitrateLadder
-from .controller import SodaController
-from .fastpath import solve_brute_force_batch, solve_monotonic_batch
+from .controller import _SOLVERS, SodaController
 from .objective import SodaConfig
 
 __all__ = ["DecisionTable", "TableFormatError", "TablePublisher"]
@@ -125,61 +124,36 @@ class DecisionTable:
 
     # ------------------------------------------------------------------
     def _build(self) -> TableStats:
-        start = time.perf_counter()
-        controller = SodaController(config=self.config)
-        if self.config.solver_backend == "fast":
-            self._build_batched(controller)
-        else:
-            for ti, tput in enumerate(self._tput_grid):
-                for bi, buf in enumerate(self._buffer_grid):
-                    for prev_axis in range(self.ladder.levels + 1):
-                        prev = None if prev_axis == 0 else prev_axis - 1
-                        decision = controller.decide(
-                            float(tput), float(buf), prev, self.ladder,
-                            self.max_buffer,
-                        )
-                        self._table[ti, bi, prev_axis] = (
-                            _DEFER if decision is None else decision
-                        )
-        elapsed = time.perf_counter() - start
-        return TableStats(
-            cells=int(self._table.size),
-            build_seconds=elapsed,
-            memory_bytes=int(self._table.nbytes),
-        )
+        """Solve every cell with the online path's own solver and rules.
 
-    def _build_batched(self, controller: SodaController) -> None:
-        """Fast-backend build: one batch solve per (throughput, prev) pair.
-
-        The candidate bundle is shared across the whole buffer axis, so the
-        expensive part of each cell shrinks to one vectorized scoring pass;
-        the per-cell fallback rules are applied by the very same
-        ``SodaController._finalize`` the online path uses, keeping the table
-        cell-for-cell identical to the per-cell ``decide`` loop.
+        The first-step caps depend only on (throughput, buffer), so each
+        throughput row computes them once for all previous rungs.  Each
+        cell then runs the backend's single-session solver on the scalar
+        prediction and the same ``SodaController._finalize`` the online
+        path uses, keeping the table cell-for-cell identical to the
+        per-cell ``decide`` loop on either backend.
         """
+        start = time.perf_counter()
         cfg = self.config
-        solve_batch = (
-            solve_brute_force_batch if cfg.use_brute_force
-            else solve_monotonic_batch
-        )
+        controller = SodaController(config=cfg)
+        solve = _SOLVERS[(cfg.solver_backend, cfg.use_brute_force)]
         buffers = [float(b) for b in self._buffer_grid]
         for ti, tput in enumerate(self._tput_grid):
             omega = np.full(cfg.horizon, max(float(tput), 0.0))
+            pred = float(omega[0])
             caps = [
                 controller._first_step_cap(
-                    float(omega[0]), buf, self.max_buffer, self.ladder, cfg
+                    pred, buf, self.max_buffer, self.ladder, cfg
                 )
                 for buf in buffers
             ]
             for prev_axis in range(self.ladder.levels + 1):
                 prev = None if prev_axis == 0 else prev_axis - 1
-                plans = solve_batch(
-                    omega, buffers, prev, self.ladder, cfg, self.max_buffer,
-                    first_caps=caps,
-                )
-                for bi, (plan, buf, cap) in enumerate(
-                    zip(plans, buffers, caps)
-                ):
+                for bi, (buf, cap) in enumerate(zip(buffers, caps)):
+                    plan = solve(
+                        pred, buf, prev, self.ladder, cfg, self.max_buffer,
+                        first_cap=cap,
+                    )
                     decision = controller._finalize(
                         plan, omega, buf, prev, self.ladder,
                         self.max_buffer, cap,
@@ -187,6 +161,12 @@ class DecisionTable:
                     self._table[ti, bi, prev_axis] = (
                         _DEFER if decision is None else decision
                     )
+        elapsed = time.perf_counter() - start
+        return TableStats(
+            cells=int(self._table.size),
+            build_seconds=elapsed,
+            memory_bytes=int(self._table.nbytes),
+        )
 
     # ------------------------------------------------------------------
     @property

@@ -22,8 +22,8 @@ front of every production ABR decision path):
   degrading until the probes report back.
 
 The clock is injectable so tests (and the chaos-soak harness) can drive
-transitions deterministically, and every transition is recorded so the
-health snapshot can prove a full open → half-open → closed cycle happened.
+transitions deterministically, and completed open → half-open → closed
+cycles are counted so the health snapshot can prove one happened.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 import threading
 import time
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional
 
 __all__ = ["BreakerOpenError", "BreakerState", "CircuitBreaker"]
 
@@ -85,17 +85,11 @@ class CircuitBreaker:
         self._probe_successes = 0
         self._probes_in_flight = 0
         self._opened_at = 0.0
-        #: (from, to) state transitions in order, for the health snapshot
-        self.transitions: List[Tuple[str, str]] = []
+        self._full_cycles = 0
         self.times_opened = 0
         self.failures_recorded = 0
 
     # ------------------------------------------------------------------
-    def _move(self, new_state: BreakerState) -> None:
-        """Record and apply a transition (lock held by the caller)."""
-        self.transitions.append((self._state.value, new_state.value))
-        self._state = new_state
-
     @property
     def state(self) -> BreakerState:
         """Current state (open → half-open promotion happens in ``allow``)."""
@@ -121,7 +115,7 @@ class CircuitBreaker:
                 if self.clock() - self._opened_at >= self.cooldown:
                     self._probe_successes = 0
                     self._probes_in_flight = 1
-                    self._move(BreakerState.HALF_OPEN)
+                    self._state = BreakerState.HALF_OPEN
                     return True
                 return False
             # half-open: only the limited probe slots may flow
@@ -139,7 +133,10 @@ class CircuitBreaker:
                     self._probes_in_flight -= 1
                 self._probe_successes += 1
                 if self._probe_successes >= self.half_open_successes:
-                    self._move(BreakerState.CLOSED)
+                    # closed is reachable only from half-open, which is
+                    # reachable only from open: this closes a full cycle
+                    self._state = BreakerState.CLOSED
+                    self._full_cycles += 1
 
     def record_failure(self) -> None:
         """Note a solver exception or deadline overrun."""
@@ -161,25 +158,13 @@ class CircuitBreaker:
         self._probes_in_flight = 0
         self._opened_at = self.clock()
         self.times_opened += 1
-        self._move(BreakerState.OPEN)
+        self._state = BreakerState.OPEN
 
     # ------------------------------------------------------------------
     def full_cycles(self) -> int:
-        """Completed open → half-open → closed cycles, from the log."""
-        cycles = 0
-        stage = 0  # 0: want open, 1: want half-open, 2: want closed
-        for _, to in self.transitions:
-            if stage == 0 and to == BreakerState.OPEN.value:
-                stage = 1
-            elif stage == 1 and to == BreakerState.HALF_OPEN.value:
-                stage = 2
-            elif stage == 2:
-                if to == BreakerState.CLOSED.value:
-                    cycles += 1
-                    stage = 0
-                elif to == BreakerState.OPEN.value:
-                    stage = 1  # probe failed; cycle restarts
-        return cycles
+        """Completed open → half-open → closed cycles."""
+        with self._lock:
+            return self._full_cycles
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

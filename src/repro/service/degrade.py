@@ -122,15 +122,13 @@ class StatsCounters:
     _FIELDS = (
         "decisions", "tier0_decisions", "tier1_decisions", "tier2_decisions",
         "shed", "solver_errors", "deadline_overruns", "deferrals_resolved",
-        "sanitized_observations", "sessions_created", "sessions_evicted",
+        "sanitized_observations",
     )
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         for field in self._FIELDS:
             setattr(self, field, 0)
-        self.sessions_active = 0
-        self.max_sessions_seen = 0
 
     def bump(self, field: str, amount: int = 1) -> None:
         """Atomically increment one counter."""
@@ -175,20 +173,15 @@ class StatsCounters:
                 self.tier2_decisions += count
             self.deferrals_resolved += deferred
 
-    def set_sessions(self, active: int) -> None:
-        """Track the resident-session count and its high-water mark."""
-        with self._lock:
-            self.sessions_active = active
-            if active > self.max_sessions_seen:
-                self.max_sessions_seen = active
-
     def snapshot(self) -> ServiceStats:
-        """Freeze the current counters into a :class:`ServiceStats`."""
+        """Freeze the current counters into a :class:`ServiceStats`.
+
+        The session fields stay zero here; the service folds in its
+        session table's figures (see ``DecisionService.stats``).
+        """
         with self._lock:
             return ServiceStats(
-                sessions_active=self.sessions_active,
-                max_sessions_seen=self.max_sessions_seen,
-                **{field: getattr(self, field) for field in self._FIELDS},
+                **{field: getattr(self, field) for field in self._FIELDS}
             )
 
 

@@ -51,10 +51,49 @@ from .degrade import (
 )
 from .health import BatchCounters, HealthSnapshot, LatencyRing, build_snapshot
 
-__all__ = ["Decision", "DecisionService", "SessionState"]
+__all__ = [
+    "Decision", "DecisionService", "SessionState", "pack_columns",
+    "FLAG_DEFERRED", "FLAG_SOLVER_ERROR", "FLAG_OVERRAN", "FLAG_SHED",
+    "FLAG_SANITIZED", "FLAG_FIELDS",
+]
 
 #: a per-session tier-0 solver: obs -> rung or None (defer)
 Tier0 = Callable[[PlayerObservation], Optional[int]]
+
+#: the boolean :class:`Decision` fields, in the bit order of the flag
+#: column the batch paths return
+_FLAG_NAMES = ("deferred", "solver_error", "overran", "shed", "sanitized")
+FLAG_DEFERRED, FLAG_SOLVER_ERROR, FLAG_OVERRAN, FLAG_SHED, FLAG_SANITIZED = (
+    1 << bit for bit in range(len(_FLAG_NAMES))
+)
+#: flag byte -> the :class:`Decision` keyword arguments it encodes
+FLAG_FIELDS = tuple(
+    {name: bool(bits >> bit & 1) for bit, name in enumerate(_FLAG_NAMES)}
+    for bits in range(1 << len(_FLAG_NAMES))
+)
+
+
+def pack_columns(
+    requests: Sequence[Tuple[str, PlayerObservation]],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The decision-table axes of each request, as aligned columns.
+
+    Returns ``(last throughput, buffer level, previous rung)``: the
+    throughput is ``-1`` for a request with no history yet and the rung
+    ``-1`` for none — the inputs of
+    :meth:`DecisionService.decide_columns` and of the shard wire.
+    """
+    n = len(requests)
+    tputs = np.empty(n)
+    buffers = np.empty(n)
+    prevs = np.empty(n, dtype=np.int64)
+    for i, (_sid, obs) in enumerate(requests):
+        history = obs.history
+        tputs[i] = history[-1].throughput if history else -1.0
+        buffers[i] = obs.buffer_level
+        prev = obs.previous_quality
+        prevs[i] = -1 if prev is None else prev
+    return tputs, buffers, prevs
 
 
 @dataclass(frozen=True)
@@ -413,141 +452,39 @@ class DecisionService:
         deadline) is identical to :meth:`decide`, only the quality tier
         rides the offered load.
 
-        The batch claims a single admission slot; a shed batch is
-        answered entirely from the floor.  Per-session solver state is
-        touched only by the tier-0 prefix — the vectorized tiers are
-        stateless, so the monotone history-feed invariant is preserved.
+        It is :meth:`decide_columns` over the requests' table axes
+        (:func:`pack_columns`), except that the tier-0 prefix solves from
+        each request's own sanitized observation, full download log
+        included.  The batch claims a single admission slot (a shed batch
+        is answered entirely from the floor), the gate observes one
+        latency per batch, and every answer carries that batch latency.
+        Per-session solver state is touched only by the tier-0 prefix —
+        the vectorized tiers are stateless, so the monotone history-feed
+        invariant is preserved.
         """
         started = self.clock()
         if deadline_at is None:
             deadline_at = started + self.deadline
-        n = len(requests)
-        if n == 0:
-            return []
 
-        if not self.gate.try_acquire():
-            self.counters.bump("shed", n)
-            decisions = [
-                self._floor_decision(sid, obs, started, shed=True)
-                for sid, obs in requests
-            ]
-            self.counters.record_batch(TIER_RULE, n)
-            self.latencies.record_many(self.clock() - started, n)
-            return decisions
+        def tier0_obs(i: int) -> Tuple[PlayerObservation, bool]:
+            obs = requests[i][1]
+            clean = sanitize_observation(obs)
+            return clean, clean is not obs
 
-        try:
-            decisions: List[Optional[Decision]] = [None] * n
-            solved = 0
-            chunk_size = self.tier0_chunk if self._batchable else 1
-            # ---- tier-0 prefix: batched solver chunks while budget lasts
-            while (
-                solved < n
-                and self.degradation.tier0_affordable(deadline_at)
-            ):
-                stop = min(n, solved + chunk_size)
-                items: List[Tuple[str, PlayerObservation]] = []
-                sanitized_flags: List[bool] = []
-                for sid, obs in requests[solved:stop]:
-                    clean = sanitize_observation(obs)
-                    sanitized = clean is not obs
-                    if sanitized:
-                        self.counters.bump("sanitized_observations")
-                    items.append((sid, clean))
-                    sanitized_flags.append(sanitized)
-                if len(items) == 1:
-                    tiers = [
-                        self._decide_admitted(
-                            items[0][0], items[0][1], deadline_at
-                        )
-                    ]
-                else:
-                    tiers = self._decide_admitted_many(items, deadline_at)
-                for (sid, _clean), tier, sanitized in zip(
-                    items, tiers, sanitized_flags
-                ):
-                    decisions[solved] = self._finish(
-                        sid, tier, started, shed=False, sanitized=sanitized
-                    )
-                    solved += 1
-            if solved < n:
-                rest = requests[solved:]
-                tail = self._decide_vectorized(rest, started, deadline_at)
-                decisions[solved:] = tail
-        finally:
-            self.gate.release()
-        self.gate.observe(self.clock() - started)
-        return decisions  # type: ignore[return-value]
-
-    def _decide_vectorized(
-        self,
-        requests: Sequence[Tuple[str, PlayerObservation]],
-        started: float,
-        deadline_at: float,
-    ) -> List[Decision]:
-        """Answer ``requests`` in one tier-1 table gather (tier-2 floor
-        when the table or its budget is gone)."""
-        n = len(requests)
-        use_table = (
-            self.table is not None
-            and deadline_at - self.clock() >= self.degradation.tier1_budget
+        session_ids = [sid for sid, _obs in requests]
+        rungs, tiers, flags, latency = self._decide_batch(
+            session_ids, pack_columns(requests), tier0_obs, started,
+            deadline_at,
         )
-        if not use_table:
-            decisions = [
-                self._floor_decision(sid, obs, started, shed=False)
-                for sid, obs in requests
-            ]
-            self.counters.record_batch(TIER_RULE, n)
-            self.latencies.record_many(self.clock() - started, n)
-            return decisions
-
-        tputs = np.empty(n)
-        buffers = np.empty(n)
-        prevs = np.empty(n, dtype=np.int64)
-        for i, (_sid, obs) in enumerate(requests):
-            history = obs.history
-            tputs[i] = history[-1].throughput if history else -1.0
-            buffers[i] = obs.buffer_level
-            prev = obs.previous_quality
-            prevs[i] = -1 if prev is None else prev
-        rungs = self.table.lookup_batch(tputs, buffers, prevs)
-        # lookup_batch treats out-of-range prev as "no previous rung" for
-        # indexing; keep the raw value for defer resolution below.
-        levels = self.ladder.levels
-        valid_prev = (prevs >= 0) & (prevs < levels)
-
-        latency = self.clock() - started
-        decisions: List[Decision] = []
-        deferred_count = 0
-        floor_count = 0
-        for i, (sid, obs) in enumerate(requests):
-            rung = int(rungs[i])
-            deferred = False
-            tier = TIER_TABLE
-            if rung < 0:
-                if valid_prev[i]:
-                    rung = int(prevs[i])
-                    deferred = True
-                    deferred_count += 1
-                else:
-                    # Defer with nothing to hold: descend to the floor.
-                    rung = self.degradation.floor_quality(obs)
-                    tier = TIER_RULE
-                    floor_count += 1
-            decisions.append(
-                Decision(
-                    session_id=sid,
-                    quality=rung,
-                    tier=tier,
-                    deferred=deferred,
-                    latency=latency,
-                )
+        return [
+            Decision(
+                session_id=sid, quality=rung, tier=tier, latency=latency,
+                **FLAG_FIELDS[bits],
             )
-        self.counters.record_batch(
-            TIER_TABLE, n - floor_count, deferred=deferred_count
-        )
-        self.counters.record_batch(TIER_RULE, floor_count)
-        self.latencies.record_many(latency, n)
-        return decisions
+            for sid, rung, tier, bits in zip(
+                session_ids, rungs.tolist(), tiers.tolist(), flags.tolist()
+            )
+        ]
 
     def decide_columns(
         self,
@@ -559,16 +496,16 @@ class DecisionService:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Answer a batch given only the decision-table axes.
 
-        The columnar twin of :meth:`decide_many` for high-volume
+        The columnar form of :meth:`decide_many` for high-volume
         ingestion: each request is ``(last throughput, buffer level,
         previous rung)`` — exactly what the vectorized tiers consume — so
         a batch crosses process boundaries as three NumPy arrays instead
         of N observation objects.  Semantics match :meth:`decide_many`
         except that the tier-0 prefix sees a synthetic one-sample history
-        (the reported throughput) rather than the client's full download
-        log.  Non-finite or out-of-range inputs are clamped exactly like
-        :meth:`~repro.core.lookup.DecisionTable.lookup_batch` — the
-        sanitizer behaviour falls out of the table lookup itself.
+        (the reported throughput, stamped now) rather than the client's
+        full download log.  Non-finite or out-of-range inputs are clamped
+        exactly like :meth:`~repro.core.lookup.DecisionTable.lookup_batch`
+        — the sanitizer behaviour falls out of the table lookup itself.
 
         Args:
             session_ids: aligned session identifiers.
@@ -579,53 +516,73 @@ class DecisionService:
             deadline_at: absolute clock() value the answers are due by.
 
         Returns:
-            ``(rungs, tiers, deferred)`` aligned int64/int8/bool arrays;
-            every rung is inside the ladder.
+            ``(rungs, tiers, flags)`` aligned int64/int8/uint8 arrays;
+            every rung is inside the ladder, and each flag byte ORs the
+            ``FLAG_*`` bits of the answer's :class:`Decision` flags.
         """
         started = self.clock()
         if deadline_at is None:
             deadline_at = started + self.deadline
-        n = len(session_ids)
-        empty = (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int8),
-            np.empty(0, dtype=bool),
-        )
-        if n == 0:
-            return empty
         tputs = np.asarray(throughputs, dtype=float)
         bufs = np.asarray(buffers, dtype=float)
         prev_arr = np.asarray(prevs, dtype=np.int64)
+
+        def tier0_obs(i: int) -> Tuple[PlayerObservation, bool]:
+            obs = self._obs_from_columns(tputs[i], bufs[i], prev_arr[i])
+            return obs, False
+
+        rungs, tiers, flags, _latency = self._decide_batch(
+            session_ids, (tputs, bufs, prev_arr), tier0_obs, started,
+            deadline_at,
+        )
+        return rungs, tiers, flags
+
+    def _decide_batch(
+        self,
+        session_ids: Sequence[str],
+        columns: Tuple[np.ndarray, np.ndarray, np.ndarray],
+        tier0_obs: Callable[[int], Tuple[PlayerObservation, bool]],
+        started: float,
+        deadline_at: float,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """The one batch implementation behind both public batch paths.
+
+        Runs admission, the chunked tier-0 prefix, the table tail, the
+        floor and the accounting.  ``columns`` are the requests' table
+        axes, read by the tail and the floor; ``tier0_obs(i)`` builds row
+        ``i``'s tier-0 observation and reports whether it needed repair.
+        Returns rungs, tiers, flag bytes and the batch latency.
+        """
+        n = len(session_ids)
         rungs = np.empty(n, dtype=np.int64)
         tiers = np.empty(n, dtype=np.int8)
-        deferred = np.zeros(n, dtype=bool)
+        flags = np.zeros(n, dtype=np.uint8)
+        if n == 0:
+            return rungs, tiers, flags, 0.0
 
         if not self.gate.try_acquire():
             self.counters.bump("shed", n)
-            for i in range(n):
-                rungs[i] = self._floor_from_columns(bufs[i], prev_arr[i])
-            tiers[:] = TIER_RULE
-            self.counters.record_batch(TIER_RULE, n)
-            self.latencies.record_many(self.clock() - started, n)
-            return rungs, tiers, deferred
+            self._floor_rows(columns, rungs, tiers, 0)
+            flags[:] = FLAG_SHED
+            latency = self.clock() - started
+            self.latencies.record_many(latency, n)
+            return rungs, tiers, flags, latency
 
         try:
             solved = 0
             chunk_size = self.tier0_chunk if self._batchable else 1
+            # ---- tier-0 prefix: batched solver chunks while budget lasts
             while (
                 solved < n
                 and self.degradation.tier0_affordable(deadline_at)
             ):
-                stop = min(n, solved + chunk_size)
-                items = [
-                    (
-                        session_ids[i],
-                        self._obs_from_columns(
-                            tputs[i], bufs[i], prev_arr[i]
-                        ),
-                    )
-                    for i in range(solved, stop)
-                ]
+                items: List[Tuple[str, PlayerObservation]] = []
+                for i in range(solved, min(n, solved + chunk_size)):
+                    obs, sanitized = tier0_obs(i)
+                    if sanitized:
+                        self.counters.bump("sanitized_observations")
+                        flags[i] = FLAG_SANITIZED
+                    items.append((session_ids[i], obs))
                 if len(items) == 1:
                     chunk_tiers = [
                         self._decide_admitted(
@@ -640,65 +597,77 @@ class DecisionService:
                     self.counters.record_tier(tier)
                     rungs[solved] = tier.quality
                     tiers[solved] = tier.tier
-                    deferred[solved] = tier.deferred
+                    flags[solved] |= (
+                        FLAG_DEFERRED * tier.deferred
+                        | FLAG_SOLVER_ERROR * tier.solver_error
+                        | FLAG_OVERRAN * tier.overran
+                    )
                     solved += 1
             if solved < n:
-                self._columns_vectorized(
-                    tputs, bufs, prev_arr, rungs, tiers, deferred,
-                    solved, deadline_at,
+                self._table_tail(
+                    columns, rungs, tiers, flags, solved, deadline_at
                 )
         finally:
             self.gate.release()
         latency = self.clock() - started
         self.latencies.record_many(latency, n)
         self.gate.observe(latency)
-        return rungs, tiers, deferred
+        return rungs, tiers, flags, latency
 
-    def _columns_vectorized(
+    def _table_tail(
         self,
-        tputs: np.ndarray,
-        bufs: np.ndarray,
-        prevs: np.ndarray,
+        columns: Tuple[np.ndarray, np.ndarray, np.ndarray],
         rungs: np.ndarray,
         tiers: np.ndarray,
-        deferred: np.ndarray,
+        flags: np.ndarray,
         start: int,
         deadline_at: float,
     ) -> None:
-        """Fill ``[start:]`` of the output arrays in one table gather."""
-        n = len(tputs)
-        use_table = (
-            self.table is not None
-            and deadline_at - self.clock() >= self.degradation.tier1_budget
-        )
-        if not use_table:
-            for i in range(start, n):
-                rungs[i] = self._floor_from_columns(bufs[i], prevs[i])
-            tiers[start:] = TIER_RULE
-            self.counters.record_batch(TIER_RULE, n - start)
+        """Fill rows ``[start:]`` in one table gather (the tier-2 floor
+        when the table or its budget is gone)."""
+        if (
+            self.table is None
+            or deadline_at - self.clock() < self.degradation.tier1_budget
+        ):
+            self._floor_rows(columns, rungs, tiers, start)
             return
+        tputs, bufs, prevs = columns
         looked = self.table.lookup_batch(
             tputs[start:], bufs[start:], prevs[start:]
         )
+        # lookup_batch treats an out-of-range prev as "no previous rung"
+        # for indexing; a defer holds only a valid one and floors otherwise.
         levels = self.ladder.levels
         valid_prev = (prevs[start:] >= 0) & (prevs[start:] < levels)
         hold = (looked < 0) & valid_prev
         floor = (looked < 0) & ~valid_prev
         looked = np.where(hold, prevs[start:], looked)
-        floor_indices = np.nonzero(floor)[0]
-        for j in floor_indices:
+        for j in np.nonzero(floor)[0]:
             looked[j] = self._floor_from_columns(
                 bufs[start + j], prevs[start + j]
             )
         rungs[start:] = looked
         tiers[start:] = np.where(floor, TIER_RULE, TIER_TABLE)
-        deferred[start:] = hold
+        flags[start:] = np.where(hold, FLAG_DEFERRED, 0)
         floor_count = int(floor.sum())
         self.counters.record_batch(
-            TIER_TABLE, n - start - floor_count,
-            deferred=int(hold.sum()),
+            TIER_TABLE, len(looked) - floor_count, deferred=int(hold.sum())
         )
         self.counters.record_batch(TIER_RULE, floor_count)
+
+    def _floor_rows(
+        self,
+        columns: Tuple[np.ndarray, np.ndarray, np.ndarray],
+        rungs: np.ndarray,
+        tiers: np.ndarray,
+        start: int,
+    ) -> None:
+        """Answer rows ``[start:]`` from the tier-2 floor."""
+        _tputs, bufs, prevs = columns
+        for i in range(start, len(rungs)):
+            rungs[i] = self._floor_from_columns(bufs[i], prevs[i])
+        tiers[start:] = TIER_RULE
+        self.counters.record_batch(TIER_RULE, len(rungs) - start)
 
     def _obs_from_columns(
         self, tput: float, buffer_level: float, prev: int
@@ -732,23 +701,6 @@ class DecisionService:
             self._obs_from_columns(-1.0, buffer_level, prev)
         )
 
-    def _floor_decision(
-        self,
-        session_id: str,
-        obs: PlayerObservation,
-        started: float,
-        shed: bool,
-    ) -> Decision:
-        """A tier-2 answer built outside the counter/ring bookkeeping
-        (the batch paths account in bulk)."""
-        return Decision(
-            session_id=session_id,
-            quality=self.degradation.floor_quality(obs),
-            tier=TIER_RULE,
-            shed=shed,
-            latency=self.clock() - started,
-        )
-
     def _finish(
         self,
         session_id: str,
@@ -759,7 +711,6 @@ class DecisionService:
     ) -> Decision:
         latency = self.clock() - started
         self.counters.record_tier(tier)
-        self.counters.set_sessions(len(self.sessions))
         self.latencies.record(latency)
         if not shed:
             self.gate.observe(latency)

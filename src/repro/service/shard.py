@@ -25,10 +25,12 @@ the whole tier.  :class:`ShardedDecisionService` provides both:
   each worker's final health snapshot over a ``stop`` handshake, and
   answers any late request from the floor instead of dropping it.
 
-The wire protocol is deliberately tiny: observations cross the pipe as
-flat tuples (the ladder is config, already held by both sides), and the
-request carries its send timestamp so pipe transit counts against the
-decision deadline (``fork`` guarantees a shared ``CLOCK_MONOTONIC``).
+The wire protocol is deliberately tiny: a single observation crosses the
+pipe as a flat tuple (the ladder is config, already held by both sides),
+a batch as three NumPy columns answered by rung, tier and flag columns,
+and every request carries its send timestamp so pipe transit counts
+against the decision deadline (``fork`` guarantees a shared
+``CLOCK_MONOTONIC``).
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from ..sim.video import BitrateLadder
 from .admission import RetryBudget
 from .degrade import TIER_RULE
 from .health import LatencyRing
-from .service import Decision, DecisionService
+from .service import FLAG_FIELDS, Decision, DecisionService, pack_columns
 from .supervisor import RestartPolicy, Supervisor
 
 __all__ = [
@@ -202,16 +204,6 @@ def _worker_main(conn, spec: WorkerSpec, slot: int, generation: int) -> None:
                     deadline_at=sent_at + spec.deadline,
                 )
                 conn.send(("ok", _encode_decision(decision)))
-            elif tag == "batch":
-                _, items, sent_at = msg
-                requests = [
-                    (sid, decode_observation(data, ladder))
-                    for sid, data in items
-                ]
-                decisions = service.decide_many(
-                    requests, deadline_at=sent_at + spec.deadline
-                )
-                conn.send(("ok", [_encode_decision(d) for d in decisions]))
             elif tag == "vbatch":
                 _, sids, tputs, bufs, prevs, sent_at = msg
                 conn.send((
@@ -449,7 +441,7 @@ class ShardedDecisionService:
         tier0_factory: per-session solver hook forwarded to workers
             (inherited via fork — the chaos soak injects faults here).
         tier0_chunk: sessions per batched tier-0 solver call inside each
-            worker's batch paths (``1`` disables cross-session batching).
+            worker's batch path (``1`` disables cross-session batching).
         request_slack: extra seconds past the deadline the front end
             waits for a worker's answer before declaring it wedged.
         heartbeat_interval / restart_policy: supervision tuning.
@@ -694,7 +686,6 @@ class ShardedDecisionService:
     def decide_many(
         self,
         requests: Sequence[Tuple[str, PlayerObservation]],
-        full_history: bool = False,
     ) -> List[ShardDecision]:
         """Scatter a batch across shards, gather under one deadline.
 
@@ -702,48 +693,37 @@ class ShardedDecisionService:
         collected, so shards compute concurrently; a shard that fails
         mid-batch answers its whole sub-batch from the front-end floor.
 
-        By default each request crosses the pipe as its decision-table
-        coordinates (last throughput, buffer, previous rung) packed into
-        NumPy columns — the vectorized tiers consume nothing else, and
-        the wire cost per item drops an order of magnitude, which is
-        what sustains 100k+ decisions/sec aggregate on the batch path.
-        ``full_history=True`` ships complete observations instead, so
-        the tier-0 prefix sees the client's whole download log (per-item
-        cost rises accordingly).
+        Each request crosses the pipe as its decision-table coordinates
+        (last throughput, buffer, previous rung) packed into NumPy
+        columns (:func:`~repro.service.service.pack_columns`) and the
+        worker answers through
+        :meth:`~repro.service.service.DecisionService.decide_columns`:
+        the vectorized tiers consume nothing else, and the wire cost per
+        item drops an order of magnitude, which is what sustains 100k+
+        decisions/sec aggregate on the batch path.  The tier-0 prefix
+        therefore sees a one-sample history; :meth:`decide` is the path
+        that ships a client's whole download log.
         """
         started = self.clock()
         n = len(requests)
         if n == 0:
             return []
         decisions: List[Optional[ShardDecision]] = [None] * n
-        if self._closing:
-            for i, (sid, obs) in enumerate(requests):
-                decisions[i] = self._failover_decision(sid, obs, started, False)
-            self._account(n, failovers=n, latency=self.clock() - started)
-            return decisions  # type: ignore[return-value]
-
         groups: Dict[int, List[int]] = {}
         floors: List[int] = []
         rehomed: List[bool] = [False] * n
         for i, (sid, _obs) in enumerate(requests):
-            slot_index, moved = self._route(sid)
+            # a draining fleet routes nowhere: every row takes the floor
+            slot_index, moved = None, False
+            if not self._closing:
+                slot_index, moved = self._route(sid)
             rehomed[i] = moved
             if slot_index is None:
                 floors.append(i)
             else:
                 groups.setdefault(slot_index, []).append(i)
 
-        if not full_history:
-            tputs = np.empty(n)
-            bufs = np.empty(n)
-            prevs = np.empty(n, dtype=np.int64)
-            for i, (_sid, obs) in enumerate(requests):
-                history = obs.history
-                tputs[i] = history[-1].throughput if history else -1.0
-                bufs[i] = obs.buffer_level
-                prev = obs.previous_quality
-                prevs[i] = -1 if prev is None else prev
-
+        tputs, bufs, prevs = pack_columns(requests)
         order = sorted(groups)
         acquired: List[int] = []
         sent: Dict[int, bool] = {}
@@ -758,23 +738,13 @@ class ShardedDecisionService:
                 if not self.supervisor.is_alive(slot_index):
                     continue
                 indices = groups[slot_index]
-                if full_history:
-                    request = (
-                        "batch",
-                        [
-                            (requests[i][0], encode_observation(requests[i][1]))
-                            for i in indices
-                        ],
-                        started,
-                    )
-                else:
-                    idx = np.asarray(indices)
-                    request = (
-                        "vbatch",
-                        [requests[i][0] for i in indices],
-                        tputs[idx], bufs[idx], prevs[idx],
-                        started,
-                    )
+                idx = np.asarray(indices)
+                request = (
+                    "vbatch",
+                    [requests[i][0] for i in indices],
+                    tputs[idx], bufs[idx], prevs[idx],
+                    started,
+                )
                 try:
                     slot.conn.send(request)
                     sent[slot_index] = True
@@ -792,10 +762,7 @@ class ShardedDecisionService:
                         if not slot.conn.poll(remaining):
                             raise TimeoutError("shard batch timed out")
                         _tag, payload = slot.conn.recv()
-                        answered = (
-                            len(payload) if full_history else len(payload[0])
-                        )
-                        if answered != len(indices):
+                        if len(payload[0]) != len(indices):
                             raise ValueError("shard answered a short batch")
                     except Exception:
                         self.supervisor.report_failure(slot_index)
@@ -809,24 +776,17 @@ class ShardedDecisionService:
                         failover_count += 1
                     continue
                 latency = self.clock() - started
-                if full_history:
-                    for i, wire in zip(indices, payload):
-                        decisions[i] = self._wire_decision(
-                            requests[i][0], wire, slot_index, rehomed[i],
-                            latency,
-                        )
-                else:
-                    rungs, tiers, deferred = payload
-                    for j, i in enumerate(indices):
-                        decisions[i] = ShardDecision(
-                            session_id=requests[i][0],
-                            quality=int(rungs[j]),
-                            tier=int(tiers[j]),
-                            deferred=bool(deferred[j]),
-                            latency=latency,
-                            shard=slot_index,
-                            rehomed=rehomed[i],
-                        )
+                rungs, tiers, flags = (column.tolist() for column in payload)
+                for j, i in enumerate(indices):
+                    decisions[i] = ShardDecision(
+                        session_id=requests[i][0],
+                        quality=rungs[j],
+                        tier=tiers[j],
+                        latency=latency,
+                        shard=slot_index,
+                        rehomed=rehomed[i],
+                        **FLAG_FIELDS[flags[j]],
+                    )
         finally:
             for slot_index in acquired:
                 self.supervisor.slots[slot_index].lock.release()
@@ -871,12 +831,13 @@ class ShardedDecisionService:
         self._account(1, failovers=1, latency=decision.latency)
         return decision
 
-    def _wire_decision(
+    def _from_wire(
         self, session_id: str, wire: tuple, shard: int, rehomed: bool,
-        latency: float,
+        started: float,
     ) -> ShardDecision:
+        latency = self.clock() - started
         quality, tier, deferred, solver_error, overran, shed, sanitized = wire
-        return ShardDecision(
+        decision = ShardDecision(
             session_id=session_id,
             quality=quality,
             tier=tier,
@@ -888,16 +849,6 @@ class ShardedDecisionService:
             latency=latency,
             shard=shard,
             rehomed=rehomed,
-            failover=False,
-        )
-
-    def _from_wire(
-        self, session_id: str, wire: tuple, shard: int, rehomed: bool,
-        started: float,
-    ) -> ShardDecision:
-        latency = self.clock() - started
-        decision = self._wire_decision(
-            session_id, wire, shard, rehomed, latency
         )
         self._account(1, failovers=0, latency=latency)
         return decision

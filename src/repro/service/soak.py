@@ -389,9 +389,13 @@ def run_soak(
 
     from .breaker import CircuitBreaker
 
+    # The breaker's clock runs ahead of real time by whatever the drain
+    # phase steps it, so the drain never waits out a cooldown.
+    breaker_skew = [0.0]
     breaker = CircuitBreaker(
         failure_threshold=cfg.breaker_threshold,
         cooldown=cfg.breaker_cooldown,
+        clock=lambda: time.monotonic() + breaker_skew[0],
     )
     chaos_lock = threading.Lock()
     chaos_rng = random.Random(cfg.seed)
@@ -474,12 +478,16 @@ def run_soak(
 
     # ---- drain phase: let the breaker finish its recovery cycle ------
     # Short soaks can outrun the cooldown (the burst trips the breaker
-    # but traffic ends before it may half-open).  Trickle probe traffic
-    # until the cycle completes; the burst is over, so probes succeed.
+    # but traffic ends before it may half-open), and on a loaded box the
+    # traffic may be shed so heavily that it never reaches the burst.
+    # Send probes until the cycle completes: each one first steps the
+    # breaker clock past the cooldown, so an open breaker half-opens on
+    # the probe itself.  Probes advance the chaos counter, so the burst
+    # trips the breaker if traffic did not; after it, most probes
+    # succeed, and the probe count (not wall time) bounds the phase.
     drained = 0
-    if service.breaker.times_opened > 0:
+    if cfg.chaos or service.breaker.times_opened > 0:
         say("draining until the breaker closes ...")
-        drain_deadline = time.perf_counter() + 4 * cfg.breaker_cooldown + 2.0
         probe_obs = PlayerObservation(
             wall_time=0.0,
             segment_index=0,
@@ -489,13 +497,11 @@ def run_soak(
             ladder=ladder,
             history=(),
         )
-        while (
-            service.breaker.full_cycles() < 1
-            and time.perf_counter() < drain_deadline
-        ):
+        max_probes = cfg.burst_at + cfg.breaker_threshold + 64
+        while service.breaker.full_cycles() < 1 and drained < max_probes:
+            breaker_skew[0] += cfg.breaker_cooldown
             service.decide("soak-drain", probe_obs)
             drained += 1
-            time.sleep(cfg.breaker_cooldown / 10)
 
     # ---- deterministic shed probe ------------------------------------
     # Shedding normally needs genuine slot contention (slow solver calls

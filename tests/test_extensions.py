@@ -153,15 +153,34 @@ class TestDecisionTable:
         assert table.stats.build_seconds > 0
         assert table.stats.memory_bytes == table.stats.cells
 
-    def test_lookup_matches_solver_on_grid(self, table):
-        controller = SodaController(config=table.config)
-        for ti in (0, 5, 11):
-            for bi in (0, 6, 11):
-                tput = float(table._tput_grid[ti])
-                buf = float(table._buffer_grid[bi])
-                assert table.lookup(tput, buf, 1) == controller.decide(
-                    tput, buf, 1, table.ladder, 20.0
-                )
+    def test_lookup_matches_solver_on_grid(self):
+        """Every cell, at every previous rung (none included), equals a
+        plan-cache-off online decision at the cell's grid point, for the
+        fast, reference and brute-force solvers."""
+        from repro.sim.video import BitrateLadder
+
+        ladder = BitrateLadder([0.5, 1.2, 3.0, 6.0], segment_duration=2.0)
+        configs = {
+            "fast": SodaConfig(solver_backend="fast"),
+            "reference": SodaConfig(solver_backend="reference"),
+            "brute-force": SodaConfig(
+                solver_backend="fast", use_brute_force=True, horizon=3
+            ),
+        }
+        for name, config in configs.items():
+            table = DecisionTable(
+                ladder, 20.0, config=config,
+                throughput_points=7, buffer_points=7,
+            )
+            controller = SodaController(config=config.with_(plan_cache=False))
+            for tput in table.tput_grid:
+                for buf in table.buffer_grid:
+                    for prev in [None] + list(range(ladder.levels)):
+                        expect = controller.decide(
+                            float(tput), float(buf), prev, ladder, 20.0
+                        )
+                        got = table.lookup(float(tput), float(buf), prev)
+                        assert got == expect, (name, tput, buf, prev)
 
     def test_lookup_handles_edges(self, table):
         assert table.lookup(0.0, 0.0, None) is not None or True

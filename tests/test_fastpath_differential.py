@@ -19,9 +19,7 @@ from repro.core.fastpath import (
     monotone_candidate_count,
     monotone_candidates,
     product_candidates,
-    solve_brute_force_batch,
     solve_brute_force_fast,
-    solve_monotonic_batch,
     solve_monotonic_fast,
 )
 from repro.core.objective import SodaConfig
@@ -166,32 +164,6 @@ class TestBruteForceDifferential:
                 first_cap=cap, terminal_weight=tw,
             )
             assert brute.objective <= mono.objective + _TOL
-
-
-class TestBatchConsistency:
-    def test_batch_equals_per_call(self):
-        ladder = _LADDERS[1]
-        cfg = SodaConfig(horizon=4)
-        buffers = [0.0, 1.7, 8.0, 14.2, 24.9]
-        caps = [None, 2, None, 5, 0]
-        omega = np.array([3.0, 2.5, 4.0, 3.2])
-        for batch, single in (
-            (solve_monotonic_batch, solve_monotonic_fast),
-            (solve_brute_force_batch, solve_brute_force_fast),
-        ):
-            plans = batch(
-                omega, buffers, 3, ladder, cfg, 25.0, first_caps=caps
-            )
-            for plan, buf, cap in zip(plans, buffers, caps):
-                ref = single(omega, buf, 3, ladder, cfg, 25.0, first_cap=cap)
-                _assert_plans_match(ref, plan, f"buffer {buf}")
-
-    def test_batch_rejects_mismatched_caps(self):
-        with pytest.raises(ValueError):
-            solve_monotonic_batch(
-                3.0, [1.0, 2.0], None, _LADDERS[0], SodaConfig(horizon=2),
-                20.0, first_caps=[None],
-            )
 
 
 class TestEvaluationCounts:

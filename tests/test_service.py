@@ -386,7 +386,6 @@ class TestHealth:
             TierDecision(quality=0, tier=TIER_RULE, solver_error=True)
         )
         counters.bump("shed")
-        counters.set_sessions(3)
         snap = counters.snapshot()
         assert snap.decisions == 2
         assert snap.tier1_decisions == 1

@@ -13,10 +13,13 @@ import os
 import signal
 import time
 
+import numpy as np
 import pytest
 
+from repro.core.controller import SodaController
 from repro.prediction.base import ThroughputSample
-from repro.service import ShardedDecisionService
+from repro.service import DecisionService, ShardedDecisionService
+from repro.service.service import FLAG_FIELDS, FLAG_SHED, pack_columns
 from repro.service.shard import (
     FleetHealth,
     _roll_up,
@@ -57,6 +60,14 @@ def session_homed_on(service, shard, tag="s"):
         if service.home_shard(sid) == shard:
             return sid
     raise AssertionError(f"no session hashed onto shard {shard}")
+
+
+def make_service():
+    """An in-process service on a frozen clock."""
+    return DecisionService(
+        LADDER, MAX_BUFFER, deadline=DEADLINE, table_points=10,
+        clock=FakeClock(),
+    )
 
 
 def wait_until(predicate, timeout=10.0, interval=0.02):
@@ -107,22 +118,120 @@ class TestServing:
             assert not decision.failover
             assert 0 <= decision.quality < LADDER.levels
 
-    def test_decide_many_columnar_matches_full_history(self, fleet):
-        requests = [
-            (f"batch-{i}", make_obs(segment=i, buffer_level=4.0 + i % 15,
-                                    prev=i % LADDER.levels,
-                                    tput=1.0e6 + 2.0e5 * (i % 11)))
-            for i in range(64)
+    def test_decide_many_matches_decide_columns_on_its_packed_columns(self):
+        """The in-process batch adapters share one core: on well-formed
+        rows (empty or one-sample history, the service's max_buffer, a
+        finite buffer) they answer identically in every tier."""
+        requests = []
+        for i in range(24):
+            wall = 2.0 * i
+            tput = None if i % 5 == 0 else 0.6 + 0.7 * (i % 11)
+            history = () if tput is None else (
+                ThroughputSample(start=wall - 1.0, duration=1.0, size=tput,
+                                 throughput=tput),
+            )
+            requests.append((f"row-{i}", PlayerObservation(
+                wall_time=wall,
+                segment_index=i,
+                buffer_level=float(i % MAX_BUFFER),
+                max_buffer=MAX_BUFFER,
+                previous_quality=None if i % 4 == 0 else i % LADDER.levels,
+                ladder=LADDER,
+                history=history,
+            )))
+        ids = [sid for sid, _obs in requests]
+        columns = pack_columns(requests)
+        # all budget (tier 0), only the lookup budget (the table tail),
+        # none (the floor)
+        for remaining, top_tier in ((DEADLINE, 0), (0.05, 1), (0.0, 2)):
+            many_service = make_service()
+            columns_service = make_service()
+            deadline_at = many_service.clock() + remaining
+            many = many_service.decide_many(requests, deadline_at=deadline_at)
+            rungs, tiers, flags = columns_service.decide_columns(
+                ids, *columns, deadline_at=deadline_at
+            )
+            assert [d.quality for d in many] == rungs.tolist()
+            assert [d.tier for d in many] == tiers.tolist()
+            for decision, bits in zip(many, flags.tolist()):
+                assert {
+                    name: getattr(decision, name) for name in FLAG_FIELDS[bits]
+                } == FLAG_FIELDS[bits]
+            assert min(tiers.tolist()) == top_tier
+            if top_tier == 1:
+                # the table tail holds the previous rung on a defer cell,
+                # and only then flags the answer deferred
+                looked = columns_service.table.lookup_batch(*columns)
+                held = (looked < 0) & (columns[2] >= 0)
+                assert held.any()
+                assert [d.deferred for d in many] == held.tolist()
+
+    def test_decide_columns_feeds_one_sample_per_row(self, monkeypatch):
+        """Tier 0 of a columnar row sees one synthetic sample: the row's
+        throughput over one second, stamped with the service clock."""
+        fed = []
+        original = SodaController.on_download
+
+        def recording(controller, sample):
+            fed.append(sample)
+            original(controller, sample)
+
+        monkeypatch.setattr(SodaController, "on_download", recording)
+        service = make_service()
+        service.decide_columns(
+            ["fed", "cold"], np.array([3.25, -1.0]), np.array([10.0, 10.0]),
+            np.array([1, -1]),
+        )
+        assert fed == [
+            ThroughputSample(start=service.clock(), duration=1.0, size=3.25,
+                             throughput=3.25)
         ]
-        columnar = fleet.decide_many(requests)
-        full = fleet.decide_many(requests, full_history=True)
-        assert [d.quality for d in columnar] == [d.quality for d in full]
-        assert [d.shard for d in columnar] == [d.shard for d in full]
-        assert all(not d.failover for d in columnar)
-        # Each decision went to its session's home shard.
-        for (sid, _obs), decision in zip(requests, columnar):
-            assert decision.shard == fleet.home_shard(sid)
+
+    def test_batch_reply_carries_solver_error_and_shed_flags(self):
+        """The columnar wire no longer drops the ladder's flags: rows whose
+        tier-0 attempt raised come back ``solver_error``, and a batch that
+        finds every admission slot held comes back ``shed``."""
+
+        def raising(session_id, controller):
+            def tier0(obs):
+                raise RuntimeError("solver down")
+
+            return tier0
+
+        fleet = ShardedDecisionService(
+            ladder=LADDER, max_buffer=MAX_BUFFER, shards=2, deadline=2.0,
+            table_points=10, heartbeat_interval=0.05, tier0_factory=raising,
+        )
+        try:
+            # Four rows: no shard reaches its breaker's five failures, so
+            # every row's tier-0 attempt raised.
+            requests = [(f"err-{i}", make_obs(segment=i)) for i in range(4)]
+            decisions = fleet.decide_many(requests)
+            rollup = fleet.health().rollup
+        finally:
+            fleet.close()
+        for (sid, _obs), decision in zip(requests, decisions):
             assert decision.session_id == sid
+            assert decision.shard == fleet.home_shard(sid)
+            assert not decision.failover
+            assert decision.solver_error
+            assert decision.tier != 0
+        assert rollup["solver_errors"] == len(requests)
+
+        service = make_service()
+        held = 0
+        while service.gate.try_acquire():
+            held += 1
+        rungs, tiers, flags = service.decide_columns(
+            ["a", "b", "c"], np.array([2.0, -1.0, 5.0]),
+            np.array([3.0, 12.0, 30.0]), np.array([0, -1, 2]),
+        )
+        for _ in range(held):
+            service.gate.release()
+        assert flags.tolist() == [FLAG_SHED] * 3
+        assert tiers.tolist() == [2] * 3
+        assert all(0 <= r < LADDER.levels for r in rungs.tolist())
+        assert service.stats().shed == 3
 
     def test_decide_many_empty_batch(self, fleet):
         assert fleet.decide_many([]) == []
