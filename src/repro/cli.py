@@ -642,21 +642,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Shared implementation of ``serve`` (clean) and ``soak`` (chaos)."""
     from .service import SoakConfig, run_soak
 
-    if not 0 <= getattr(args, "intensity", 0.0) <= 1.0:
-        raise ValueError("--intensity must be in [0, 1]")
-    if args.shards < 0:
-        raise ValueError("--shards must be non-negative")
-    if getattr(args, "rollout", False) and args.shards < 2:
-        raise ValueError("--rollout needs --shards >= 2 (canary + baseline)")
-    if args.tier0_chunk < 1:
-        raise ValueError("--tier0-chunk must be at least 1")
-    if args.batch_window < 0:
-        raise ValueError("--batch-window must be non-negative")
-    if args.batch_window > 0 and (args.chaos or args.shards > 0):
-        raise ValueError(
-            "--batch-window needs the clean single-process serve mode "
-            "(no chaos, --shards 0)"
-        )
     cfg = SoakConfig(
         sessions=args.sessions,
         segments_per_session=args.segments,

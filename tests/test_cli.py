@@ -341,6 +341,10 @@ class TestErrorHandling:
                      "--out", "/no/such/dir/out.csv"]) == 2
         assert "repro: error:" in capsys.readouterr().err
 
+    def test_rollout_soak_needs_two_shards(self, capsys):
+        assert main(["soak", "--rollout"]) == 2
+        assert "shards >= 2" in capsys.readouterr().err
+
     def test_bad_intensities(self, capsys):
         assert main(["robustness", "--sessions", "1", "--duration", "30",
                      "--intensities", "abc"]) == 2

@@ -570,6 +570,62 @@ class TestSoak:
         assert stats.tier0_decisions > 0.9 * stats.decisions
         assert report.snapshot.breaker_state == "closed"
 
+    def test_rollout_soak_rolls_back_poisoned_canary(self):
+        cfg = SoakConfig(
+            shards=2,
+            rollout=True,
+            sessions=24,
+            segments_per_session=8,
+            threads=4,
+            seed=7,
+            table_points=8,
+            deadline=0.25,
+        )
+        report = run_soak(cfg)
+        assert report.passed, report.violations
+        rollout = report.rollout_report
+        assert rollout.rolled_back and not rollout.committed
+        assert report.fleet.worker_restarts >= 1
+        assert all(
+            v == rollout.previous_version for v in report.fleet.table_versions
+        )
+
+    def test_fault_threads_end_with_the_traffic(self):
+        # The rollout never starts, so nothing ever reaches probation: the
+        # fault threads must still return with the traffic.
+        cfg = SoakConfig(
+            shards=2,
+            rollout=True,
+            rollout_at=10**6,
+            sessions=12,
+            segments_per_session=4,
+            threads=2,
+            table_points=6,
+            deadline=0.25,
+        )
+        report = run_soak(cfg)
+        assert any(v.startswith("rollout never ran") for v in report.violations)
+        alive = [t.name for t in threading.enumerate()
+                 if t.name.startswith("soak")]
+        assert alive == []
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"fault_intensity": -0.1},
+            {"fault_intensity": 1.5},
+            {"shards": -1},
+            {"rollout": True, "shards": 1},
+            {"tier0_chunk": 0},
+            {"batch_window": -0.01, "chaos": False},
+            {"batch_window": 0.01},
+            {"batch_window": 0.01, "chaos": False, "shards": 2},
+        ],
+    )
+    def test_config_rejects_invalid_combinations(self, kwargs):
+        with pytest.raises(ValueError):
+            SoakConfig(**kwargs)
+
 
 # ----------------------------------------------------------------------
 class TestAdaptiveGate:
