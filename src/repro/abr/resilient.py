@@ -5,9 +5,10 @@ crashed solver, an over-budget solve, a NaN-poisoned throughput estimate, or
 an out-of-range rung must all degrade to something safe.  This wrapper
 bolts that armor onto any :class:`AbrController`:
 
-* **observation sanitizing** — non-finite buffer/clock values are clamped
-  and corrupted throughput samples (NaN/inf/zero/negative) are repaired or
-  dropped before the inner controller or its predictor sees them;
+* **observation sanitizing** — non-finite buffer/clock values are clamped,
+  a previous rung outside the ladder is dropped, and corrupted throughput
+  samples (NaN/inf/zero/negative) are repaired or dropped before the
+  inner controller or its predictor sees them;
 * **prediction clamping** — the inner controller's predictor is wrapped so
   NaN/inf forecasts collapse to a safe 0 (which the controllers' own
   fallbacks then handle);
@@ -104,12 +105,16 @@ def sanitize_sample(sample: ThroughputSample) -> Optional[ThroughputSample]:
 
 
 def sanitize_observation(obs: PlayerObservation) -> PlayerObservation:
-    """Clamp non-finite scalars and strip garbage history samples.
+    """Clamp non-finite scalars, strip garbage history samples, and map a
+    previous rung outside the ladder to ``None`` (no previous rung).
 
     Returns ``obs`` itself when nothing needed repair, so callers can
     count interventions with an identity check.
     """
     changes = {}
+    prev = obs.previous_quality
+    if prev is not None and validate_rung(prev, obs.ladder.levels) is None:
+        changes["previous_quality"] = None
     if not math.isfinite(obs.buffer_level) or obs.buffer_level < 0:
         changes["buffer_level"] = 0.0
     elif obs.buffer_level > obs.max_buffer > 0:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import dataclasses
 import glob
 import json
-import math
 import os
 import shutil
 import struct
@@ -190,15 +189,12 @@ class DecisionTable:
         buffer_level: float,
         prev_quality: Optional[int],
     ) -> Optional[int]:
-        """Nearest-neighbour decision (what FastMPC does at runtime)."""
-        if throughput <= 0:
-            throughput = float(self._tput_grid[0])
-        ti = int(
-            np.argmin(np.abs(np.log(self._tput_grid) - math.log(throughput)))
-        )
-        bi = int(np.argmin(np.abs(self._buffer_grid - buffer_level)))
-        prev_axis = 0 if prev_quality is None else prev_quality + 1
-        decision = int(self._table[ti, bi, prev_axis])
+        """Nearest-neighbour decision (what FastMPC does at runtime): one
+        row of :meth:`lookup_batch`, so the two clamp alike."""
+        decision = int(self.lookup_batch(
+            [throughput], [buffer_level],
+            [-1 if prev_quality is None else prev_quality],
+        )[0])
         return None if decision == _DEFER else decision
 
     def lookup_observation(self, obs) -> Optional[int]:
@@ -211,9 +207,11 @@ class DecisionTable:
         entry point of the decision service (:mod:`repro.service`).
         """
         throughput = obs.last_throughput
-        if throughput is None:
-            throughput = float(self._tput_grid[0])
-        return self.lookup(throughput, obs.buffer_level, obs.previous_quality)
+        return self.lookup(
+            -1.0 if throughput is None else throughput,
+            obs.buffer_level,
+            obs.previous_quality,
+        )
 
     def lookup_batch(
         self,
@@ -234,8 +232,7 @@ class DecisionTable:
 
         Returns:
             An int array of decisions aligned with the inputs, ``-1``
-            encoding defer.  Cell-for-cell identical to calling
-            :meth:`lookup` per entry.
+            encoding defer.  :meth:`lookup` is its one-row form.
         """
         tput = np.asarray(throughputs, dtype=float).copy()
         bad = ~np.isfinite(tput) | (tput <= 0)

@@ -20,7 +20,6 @@ canary probes.
 
 from __future__ import annotations
 
-import math
 import time
 from typing import Optional
 
@@ -126,18 +125,7 @@ class TableController(AbrController):
         self.name = name
 
     def select_quality(self, obs: PlayerObservation) -> Optional[int]:
-        prev = obs.previous_quality
-        if prev is not None and not 0 <= prev < self.table.ladder.levels:
-            # Off-ladder history (foreign ladder, corrupt observation):
-            # treat as cold start rather than index past the prev axis.
-            prev = None
-        throughput = obs.last_throughput
-        if throughput is None or not math.isfinite(throughput):
-            throughput = float(self.table.tput_grid[0])
-        buffer_level = obs.buffer_level
-        if not math.isfinite(buffer_level):
-            buffer_level = 0.0
-        decision = self.table.lookup(throughput, buffer_level, prev)
+        decision = self.table.lookup_observation(obs)
         if decision is not None and not 0 <= decision < obs.ladder.levels:
             return obs.ladder.levels - 1
         return decision

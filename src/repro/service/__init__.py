@@ -18,7 +18,6 @@ injected faults.
 
 from .admission import (
     AdaptiveGate,
-    AdmissionGate,
     RetryBudget,
     SessionEntry,
     SessionTable,
@@ -47,7 +46,6 @@ from .supervisor import RestartPolicy, Supervisor
 
 __all__ = [
     "AdaptiveGate",
-    "AdmissionGate",
     "RetryBudget",
     "SessionEntry",
     "SessionTable",

@@ -3,14 +3,14 @@
 Three resources of a long-lived decision service must be capped or heavy
 traffic will eventually exhaust them:
 
-* **in-flight decisions** — :class:`AdmissionGate` hands out a fixed
+* **in-flight decisions** — :class:`AdaptiveGate` hands out a bounded
   number of slots; a request that finds none is *shed*, which means it is
   answered by the tier-2 floor rule (load shedding degrades quality, it
-  never errors).  :class:`AdaptiveGate` replaces the fixed limit with an
-  AIMD controller driven by measured tail latency against the decision
-  deadline, and sheds *new arrivals* before established sessions — a new
-  viewer can safely start on the BBA floor, while yanking the solver away
-  from a mid-stream session costs visible quality switches;
+  never errors).  The bound is an AIMD controller driven by measured tail
+  latency against the decision deadline, and it sheds *new arrivals*
+  before established sessions — a new viewer can safely start on the BBA
+  floor, while yanking the solver away from a mid-stream session costs
+  visible quality switches;
 * **resident sessions** — :class:`SessionTable` keeps per-session solver
   state in an LRU-ordered map with a hard capacity; creating a session
   beyond the cap evicts the least-recently-used *idle* session (one with
@@ -33,7 +33,6 @@ from typing import Callable, Iterator, List, Optional, Tuple, TypeVar
 
 __all__ = [
     "AdaptiveGate",
-    "AdmissionGate",
     "RetryBudget",
     "SessionEntry",
     "SessionTable",
@@ -42,29 +41,89 @@ __all__ = [
 T = TypeVar("T")
 
 
-class AdmissionGate:
-    """A non-blocking semaphore over in-flight decision slots.
+class AdaptiveGate:
+    """A non-blocking semaphore over in-flight decision slots, with an
+    AIMD controller on its limit.
+
+    A request that finds no free slot is shed.  ``max_in_flight`` is the
+    *ceiling*; the effective limit moves inside ``[min_in_flight,
+    max_in_flight]`` driven by the tail of measured decision latencies
+    against the deadline the degradation ladder is defending:
+
+    * every ``window`` served decisions, the window's p99 is compared to
+      the deadline: at or above ``high_ratio * deadline`` the limit is cut
+      **multiplicatively** (fast back-off under queueing collapse), while
+      below ``low_ratio * deadline`` it grows additively by ``increase``
+      (slow recovery, the classic AIMD asymmetry);
+    * new arrivals are held to ``new_headroom`` of the current limit, so
+      sustained overload sheds sessions that have not started yet before
+      it touches sessions mid-stream.
 
     Args:
-        max_in_flight: concurrent decisions allowed before shedding.
+        max_in_flight: the concurrency ceiling (and the starting limit).
+        deadline: per-decision budget the p99 is compared against.
+        min_in_flight: the floor the multiplicative decrease stops at.
+        window: served decisions per AIMD adjustment round.
+        decrease: multiplicative factor per unhealthy window, in (0, 1).
+        new_headroom: fraction of the current limit available to
+            not-yet-established sessions.
 
     Raises:
-        ValueError: on a non-positive slot count.
+        ValueError: on inconsistent bounds or ratios.
     """
 
-    def __init__(self, max_in_flight: int) -> None:
+    #: additive step per healthy window
+    increase = 1.0
+    #: fraction of the deadline a window p99 must reach to be unhealthy
+    high_ratio = 1.0
+    #: fraction of the deadline a window p99 must stay under to be
+    #: healthy (between the two ratios, the limit holds)
+    low_ratio = 0.5
+
+    def __init__(
+        self,
+        max_in_flight: int,
+        deadline: float,
+        min_in_flight: int = 1,
+        window: int = 64,
+        decrease: float = 0.5,
+        new_headroom: float = 0.75,
+    ) -> None:
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be at least 1")
+        if not 1 <= min_in_flight <= max_in_flight:
+            raise ValueError("need 1 <= min_in_flight <= max_in_flight")
+        if deadline <= 0:
+            raise ValueError("deadline must be positive")
+        if window < 1:
+            raise ValueError("window must be at least 1")
+        if not 0 < decrease < 1:
+            raise ValueError("need 0 < decrease < 1")
+        if not 0 < new_headroom <= 1:
+            raise ValueError("need 0 < new_headroom <= 1")
         self.max_in_flight = max_in_flight
+        self.deadline = deadline
+        self.min_in_flight = min_in_flight
+        self.window = window
+        self.decrease = decrease
+        self.new_headroom = new_headroom
         self._lock = threading.Lock()
         self._in_flight = 0
         self.shed = 0
         self.shed_new = 0
         self.max_in_flight_seen = 0
+        self._level = float(max_in_flight)
+        self._latencies: List[float] = []
+        self.limit_increases = 0
+        self.limit_decreases = 0
+        self.min_limit_seen = max_in_flight
 
     def _limit_for(self, established: bool) -> int:
         """The in-flight bound applied to this request's priority class."""
-        return self.max_in_flight
+        limit = max(self.min_in_flight, int(self._level))
+        if established:
+            return limit
+        return max(self.min_in_flight, int(self._level * self.new_headroom))
 
     def try_acquire(self, established: bool = True) -> bool:
         """Claim a slot without blocking; ``False`` means shed the request.
@@ -93,112 +152,9 @@ class AdmissionGate:
                 raise RuntimeError("release without a matching acquire")
             self._in_flight -= 1
 
-    def observe(self, latency: float) -> None:
-        """Feed one served-decision latency back (no-op for the fixed gate)."""
-
     @property
     def limit(self) -> int:
         """The current in-flight bound for established sessions."""
-        return self.max_in_flight
-
-    def snapshot(self) -> dict:
-        """Counters for the health surface."""
-        with self._lock:
-            return {
-                "limit": self.max_in_flight,
-                "in_flight": self._in_flight,
-                "shed": self.shed,
-                "shed_new": self.shed_new,
-            }
-
-    @property
-    def in_flight(self) -> int:
-        with self._lock:
-            return self._in_flight
-
-
-class AdaptiveGate(AdmissionGate):
-    """An AIMD concurrency controller over the admission gate.
-
-    The fixed ``max_in_flight`` becomes a *ceiling*; the effective limit
-    moves inside ``[min_in_flight, max_in_flight]`` driven by the tail of
-    measured decision latencies against the deadline the degradation
-    ladder is defending:
-
-    * every ``window`` served decisions, the window's p99 is compared to
-      the deadline: at or above ``high_ratio * deadline`` the limit is cut
-      **multiplicatively** (fast back-off under queueing collapse), while
-      below ``low_ratio * deadline`` it grows **additively** (slow
-      recovery, the classic AIMD asymmetry);
-    * new arrivals are held to ``new_headroom`` of the current limit, so
-      sustained overload sheds sessions that have not started yet before
-      it touches sessions mid-stream.
-
-    Args:
-        max_in_flight: the concurrency ceiling (the old fixed limit).
-        deadline: per-decision budget the p99 is compared against.
-        min_in_flight: the floor the multiplicative decrease stops at.
-        window: served decisions per AIMD adjustment round.
-        increase: additive step per healthy window.
-        decrease: multiplicative factor per unhealthy window, in (0, 1).
-        high_ratio: fraction of the deadline the window p99 must reach to
-            count as unhealthy.
-        low_ratio: fraction of the deadline the window p99 must stay
-            under to count as healthy (between the two, the limit holds).
-        new_headroom: fraction of the current limit available to
-            not-yet-established sessions.
-
-    Raises:
-        ValueError: on inconsistent bounds or ratios.
-    """
-
-    def __init__(
-        self,
-        max_in_flight: int,
-        deadline: float,
-        min_in_flight: int = 1,
-        window: int = 64,
-        increase: float = 1.0,
-        decrease: float = 0.5,
-        high_ratio: float = 1.0,
-        low_ratio: float = 0.5,
-        new_headroom: float = 0.75,
-    ) -> None:
-        super().__init__(max_in_flight)
-        if not 1 <= min_in_flight <= max_in_flight:
-            raise ValueError("need 1 <= min_in_flight <= max_in_flight")
-        if deadline <= 0:
-            raise ValueError("deadline must be positive")
-        if window < 1:
-            raise ValueError("window must be at least 1")
-        if increase <= 0 or not 0 < decrease < 1:
-            raise ValueError("need increase > 0 and 0 < decrease < 1")
-        if not 0 < low_ratio <= high_ratio:
-            raise ValueError("need 0 < low_ratio <= high_ratio")
-        if not 0 < new_headroom <= 1:
-            raise ValueError("need 0 < new_headroom <= 1")
-        self.deadline = deadline
-        self.min_in_flight = min_in_flight
-        self.window = window
-        self.increase = increase
-        self.decrease = decrease
-        self.high_ratio = high_ratio
-        self.low_ratio = low_ratio
-        self.new_headroom = new_headroom
-        self._level = float(max_in_flight)
-        self._latencies: List[float] = []
-        self.limit_increases = 0
-        self.limit_decreases = 0
-        self.min_limit_seen = max_in_flight
-
-    def _limit_for(self, established: bool) -> int:
-        limit = max(self.min_in_flight, int(self._level))
-        if established:
-            return limit
-        return max(self.min_in_flight, int(self._level * self.new_headroom))
-
-    @property
-    def limit(self) -> int:
         with self._lock:
             return max(self.min_in_flight, int(self._level))
 

@@ -38,7 +38,7 @@ the fake-clock timing tests racy.
 from __future__ import annotations
 
 import threading
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from ..abr.base import PlayerObservation
 from .service import Decision, DecisionService
@@ -76,6 +76,9 @@ class PendingDecision:
 class MicroBatcher:
     """Collect decision requests for a few ms, solve them as one batch.
 
+    The batcher reads the service's clock, so fake-clock tests drive both
+    in lockstep.
+
     Args:
         service: the decision service answering flushed batches.
         window: maximum seconds a batch is held after its first request.
@@ -84,8 +87,6 @@ class MicroBatcher:
             batch flushes instead of waiting (defaults to the service's
             tier-0 budget, so batching never costs a request its full
             solve).
-        clock: injectable monotonic time source (defaults to the
-            service's clock, so fake-clock tests drive both in lockstep).
 
     Raises:
         ValueError: on a non-positive window or batch size, or a
@@ -98,7 +99,6 @@ class MicroBatcher:
         window: float = 0.002,
         max_batch: int = 32,
         reserve: Optional[float] = None,
-        clock: Optional[Callable[[], float]] = None,
     ) -> None:
         if window <= 0:
             raise ValueError("window must be positive")
@@ -112,7 +112,7 @@ class MicroBatcher:
         )
         if self.reserve < 0:
             raise ValueError("reserve must be non-negative")
-        self.clock = clock or service.clock
+        self.clock = service.clock
         self._lock = threading.Lock()
         self._queue: List[PendingDecision] = []
         self._opened_at: Optional[float] = None

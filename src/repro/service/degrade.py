@@ -43,12 +43,27 @@ __all__ = [
     "ServiceStats",
     "StatsCounters",
     "DegradationLadder",
+    "floor_rung",
 ]
 
 #: tier indices, in degradation order
 TIER_SOLVER = 0
 TIER_TABLE = 1
 TIER_RULE = 2
+
+
+def floor_rung(
+    rule: Callable[[PlayerObservation], Optional[int]],
+    obs: PlayerObservation,
+) -> int:
+    """A floor rule's answer: validated, and rung 0 when the rule raises
+    or answers outside the ladder (the last line of defense)."""
+    try:
+        answer = rule(obs)
+    except Exception:
+        return 0
+    rung = validate_rung(answer, obs.ladder.levels)
+    return rung if rung is not None else 0
 
 
 @dataclass(frozen=True)
@@ -361,12 +376,7 @@ class DegradationLadder:
     # ------------------------------------------------------------------
     def floor_quality(self, obs: PlayerObservation) -> int:
         """The tier-2 answer: total, validated, floored to rung 0."""
-        try:
-            answer = self.tier2(obs)
-        except Exception:
-            return 0
-        rung = validate_rung(answer, obs.ladder.levels)
-        return rung if rung is not None else 0
+        return floor_rung(self.tier2, obs)
 
     @staticmethod
     def _resolve(answer, obs: PlayerObservation, levels: int):

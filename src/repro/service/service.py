@@ -5,8 +5,9 @@ package's pieces were built for: many concurrent streaming sessions, each
 asking ``decide(session_id, observation)`` and each owed an answer within a
 hard deadline.  One instance composes
 
-* an :class:`~repro.service.admission.AdmissionGate` (bounded in-flight
-  decisions; overload is shed to the tier-2 floor, never errored),
+* an :class:`~repro.service.admission.AdaptiveGate` (AIMD-bounded
+  in-flight decisions; overload is shed to the tier-2 floor, never
+  errored),
 * a :class:`~repro.service.admission.SessionTable` (LRU-bounded per-session
   solver state),
 * a :class:`~repro.service.breaker.CircuitBreaker` guarding the tier-0
@@ -39,7 +40,7 @@ from ..core.lookup import DecisionTable
 from ..core.objective import SodaConfig
 from ..prediction.base import ThroughputSample
 from ..sim.video import BitrateLadder
-from .admission import AdaptiveGate, AdmissionGate, SessionTable
+from .admission import AdaptiveGate, SessionTable
 from .breaker import CircuitBreaker
 from .degrade import (
     TIER_RULE,
@@ -148,7 +149,9 @@ class DecisionService:
             reference backend is ~40× slower and would starve the
             deadline).
         deadline: per-decision wall-clock budget, seconds.
-        max_in_flight: concurrent decisions before load shedding.
+        max_in_flight: concurrent decisions before load shedding: the
+            ceiling and starting limit of the AIMD
+            :class:`~repro.service.admission.AdaptiveGate`.
         max_sessions: resident-session cap (LRU eviction beyond it).
         table_points: decision-table grid size per axis; ``0`` skips the
             table entirely (tier 1 disabled — degradation jumps from the
@@ -160,16 +163,9 @@ class DecisionService:
         tier0_budget: minimum remaining deadline budget to attempt the
             tier-0 solver (default half the deadline).  Batch serving
             lowers the solver share by raising this toward the deadline.
-        tier1_budget: minimum remaining budget for the table lookup.
+            The table lookup keeps the ladder's default tier-1 budget.
         breaker: pre-built circuit breaker; a default one (5 consecutive
             failures, 1 s cooldown) is created when omitted.
-        gate: pre-built admission gate; by default an
-            :class:`~repro.service.admission.AdaptiveGate` whose AIMD
-            limit starts at ``max_in_flight`` (so clean load behaves
-            exactly like the fixed gate) and backs off when the measured
-            p99 approaches the deadline.  Pass a plain
-            :class:`~repro.service.admission.AdmissionGate` to pin the
-            limit.
         tier0_factory: ``(session_id, controller) -> tier0`` hook that
             builds the per-session solver callable.  The default calls
             ``controller.select_quality``; the chaos-soak harness swaps
@@ -200,9 +196,7 @@ class DecisionService:
         table_points: int = 32,
         table: Optional[DecisionTable] = None,
         tier0_budget: Optional[float] = None,
-        tier1_budget: Optional[float] = None,
         breaker: Optional[CircuitBreaker] = None,
-        gate: Optional[AdmissionGate] = None,
         tier0_factory: Optional[
             Callable[[str, SodaController], Tier0]
         ] = None,
@@ -241,11 +235,10 @@ class DecisionService:
             breaker=self.breaker,
             deadline=deadline,
             tier0_budget=tier0_budget,
-            tier1_budget=tier1_budget,
             clock=self.clock,
         )
 
-        self.gate = gate or AdaptiveGate(max_in_flight, deadline)
+        self.gate = AdaptiveGate(max_in_flight, deadline)
         self.sessions = SessionTable(max_sessions)
         self.counters = StatsCounters()
         self.latencies = LatencyRing()

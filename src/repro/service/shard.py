@@ -50,17 +50,16 @@ import numpy as np
 
 from ..abr.base import PlayerObservation
 from ..abr.bba import BbaController
-from ..abr.resilient import validate_rung
 from ..core.lookup import DecisionTable, TablePublisher
 from ..core.objective import SodaConfig
 from ..prediction.base import ThroughputSample
 from ..runner.executor import spawn_worker
 from ..sim.video import BitrateLadder
 from .admission import RetryBudget
-from .degrade import TIER_RULE
+from .degrade import TIER_RULE, floor_rung
 from .health import LatencyRing
 from .service import FLAG_FIELDS, Decision, DecisionService, pack_columns
-from .supervisor import RestartPolicy, Supervisor
+from .supervisor import Supervisor
 
 __all__ = [
     "FleetHealth",
@@ -71,6 +70,23 @@ __all__ = [
     "decode_observation",
     "encode_observation",
 ]
+
+#: seconds past the deadline the front end waits for a worker's answer
+#: before declaring the worker wedged
+REQUEST_SLACK = 0.25
+#: bound on the sticky re-home map (oldest overrides evicted first)
+MAX_REHOMES = 4096
+
+# Rollout canary rules: shards swapped per wave once the canary clears,
+# the deterministic cell probe, the largest allowed canary-minus-baseline
+# rise in probe defer fraction or windowed floor rate and in windowed
+# solver-error rate, and the factor over the baseline p99 a canary p99
+# past the deadline must stay under.
+ROLLOUT_WAVE_SIZE = 1
+PROBE_SEED, PROBE_COUNT = 17, 128
+FLOOR_RATE_MARGIN = 0.2
+ERROR_RATE_MARGIN = 0.05
+P99_FACTOR = 4.0
 
 
 @dataclass(frozen=True)
@@ -154,17 +170,12 @@ class WorkerSpec:
     max_sessions: int
     table_path: Optional[str]
     tier0_budget: Optional[float] = None
-    tier1_budget: Optional[float] = None
-    breaker_threshold: int = 5
-    breaker_cooldown: float = 1.0
     tier0_factory: Optional[object] = None
     tier0_chunk: int = 16
 
 
 def _worker_main(conn, spec: WorkerSpec, slot: int, generation: int) -> None:
     """Shard worker body: one DecisionService, one request/response loop."""
-    from .breaker import CircuitBreaker  # local: after-fork construction
-
     table = (
         DecisionTable.load_mmap(spec.table_path)
         if spec.table_path is not None
@@ -180,11 +191,6 @@ def _worker_main(conn, spec: WorkerSpec, slot: int, generation: int) -> None:
         table_points=0,
         table=table,
         tier0_budget=spec.tier0_budget,
-        tier1_budget=spec.tier1_budget,
-        breaker=CircuitBreaker(
-            failure_threshold=spec.breaker_threshold,
-            cooldown=spec.breaker_cooldown,
-        ),
         tier0_factory=spec.tier0_factory,
         tier0_chunk=spec.tier0_chunk,
     )
@@ -437,19 +443,13 @@ class ShardedDecisionService:
         table_path: pre-published table file to map instead of building
             one (validated up front; see
             :meth:`~repro.core.lookup.DecisionTable.load_mmap`).
-        tier0_budget / tier1_budget: ladder budgets forwarded to workers.
+        tier0_budget: tier-0 ladder budget forwarded to workers.
         tier0_factory: per-session solver hook forwarded to workers
             (inherited via fork — the chaos soak injects faults here).
         tier0_chunk: sessions per batched tier-0 solver call inside each
             worker's batch path (``1`` disables cross-session batching).
-        request_slack: extra seconds past the deadline the front end
-            waits for a worker's answer before declaring it wedged.
-        heartbeat_interval / restart_policy: supervision tuning.
-        max_rehomes: bound on the sticky re-home map (oldest evicted).
-        retry_ratio / retry_burst: the re-route retry budget — long-run
-            retries per request and the burst floor (see
-            :class:`~repro.service.admission.RetryBudget`); a dead shard
-            re-homes as a bounded trickle, never a retry storm.
+        heartbeat_interval: supervisor heartbeat period, seconds.
+        clock: injectable monotonic time source.
 
     Raises:
         ValueError: on a non-positive shard count.
@@ -468,15 +468,9 @@ class ShardedDecisionService:
         table_points: int = 32,
         table_path: Optional[str] = None,
         tier0_budget: Optional[float] = None,
-        tier1_budget: Optional[float] = None,
         tier0_factory: Optional[object] = None,
         tier0_chunk: int = 16,
-        request_slack: float = 0.25,
         heartbeat_interval: float = 0.1,
-        restart_policy: Optional[RestartPolicy] = None,
-        max_rehomes: int = 4096,
-        retry_ratio: float = 0.1,
-        retry_burst: float = 10.0,
         clock=None,
     ) -> None:
         if shards < 1:
@@ -490,7 +484,6 @@ class ShardedDecisionService:
         self.config = config = config or SodaConfig(solver_backend="fast")
         self.shards = shards
         self.deadline = deadline
-        self.request_slack = request_slack
         self.clock = clock or time.monotonic
 
         # ---- publish the shared decision table ------------------------
@@ -524,7 +517,6 @@ class ShardedDecisionService:
             max_sessions=max_sessions,
             table_path=table_path,
             tier0_budget=tier0_budget,
-            tier1_budget=tier1_budget,
             tier0_factory=tier0_factory,
             tier0_chunk=tier0_chunk,
         )
@@ -537,8 +529,8 @@ class ShardedDecisionService:
         self._route_lock = threading.Lock()
         self._rehomes: "OrderedDict[str, int]" = OrderedDict()
         self._rehomed_total = 0
-        self._max_rehomes = max_rehomes
-        self.retry_budget = RetryBudget(ratio=retry_ratio, burst=retry_burst)
+        # A dead shard re-homes as a bounded trickle, never a retry storm.
+        self.retry_budget = RetryBudget()
         self._rollout_lock = threading.Lock()
         self._closing = False
         self._closed = False
@@ -548,7 +540,6 @@ class ShardedDecisionService:
             shards,
             spawn=self._spawn,
             heartbeat_interval=heartbeat_interval,
-            policy=restart_policy,
             clock=self.clock,
         )
         try:
@@ -599,7 +590,7 @@ class ShardedDecisionService:
             target = live[zlib.crc32(session_id.encode()) % len(live)]
             self._rehomes[session_id] = target
             self._rehomed_total += 1
-            while len(self._rehomes) > self._max_rehomes:
+            while len(self._rehomes) > MAX_REHOMES:
                 self._rehomes.popitem(last=False)
             return target, True
 
@@ -649,36 +640,37 @@ class ShardedDecisionService:
                 slot_index, rehomed = self._route(session_id)
                 if slot_index is None:
                     break
-                data = self._request(slot_index, payload, started)
-                if data is not None:
+                reply = self._call(
+                    slot_index, payload, self.deadline + REQUEST_SLACK,
+                    since=started,
+                )
+                if reply is not None:
                     return self._from_wire(
-                        session_id, data, slot_index, rehomed, started
+                        session_id, reply[1], slot_index, rehomed, started
                     )
                 if attempt == 0 and not self.retry_budget.try_retry():
                     break
         return self._failover(session_id, obs, started, rehomed)
 
-    def _request(
-        self, slot_index: int, payload: tuple, started: float
+    def _call(
+        self, slot_index: int, message: tuple, timeout: float,
+        since: Optional[float] = None,
     ) -> Optional[tuple]:
-        """One request/response round trip; ``None`` (and the worker
-        reported dead) on any failure."""
+        """One round trip to a live slot's worker; ``None`` when the slot
+        is dead or the trip fails, and then the worker is reported dead
+        so routing re-homes its sessions.
+
+        ``timeout`` runs from when the slot's lock is held, or, given
+        ``since``, from that clock() value (at least 10 ms remain).
+        """
         slot = self.supervisor.slots[slot_index]
         with slot.lock:
             if not self.supervisor.is_alive(slot_index):
                 return None
-            conn = slot.conn
+            if since is not None:
+                timeout = max(0.01, since + timeout - self.clock())
             try:
-                conn.send(payload)
-                remaining = max(
-                    0.01,
-                    started + self.deadline + self.request_slack
-                    - self.clock(),
-                )
-                if not conn.poll(remaining):
-                    raise TimeoutError("shard response timed out")
-                _tag, data = conn.recv()
-                return data
+                return slot.call(message, timeout)
             except Exception:
                 self.supervisor.report_failure(slot_index)
                 return None
@@ -751,7 +743,7 @@ class ShardedDecisionService:
                 except Exception:
                     self.supervisor.report_failure(slot_index)
             # gather: collect replies in the same order
-            budget_until = started + self.deadline + self.request_slack
+            budget_until = started + self.deadline + REQUEST_SLACK
             for slot_index in order:
                 indices = groups[slot_index]
                 slot = self.supervisor.slots[slot_index]
@@ -801,21 +793,13 @@ class ShardedDecisionService:
         return decisions  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
-    def _floor_quality(self, obs: PlayerObservation) -> int:
-        try:
-            answer = self._rule.select_quality(obs)
-        except Exception:
-            return 0
-        rung = validate_rung(answer, obs.ladder.levels)
-        return rung if rung is not None else 0
-
     def _failover_decision(
         self, session_id: str, obs: PlayerObservation, started: float,
         rehomed: bool,
     ) -> ShardDecision:
         return ShardDecision(
             session_id=session_id,
-            quality=self._floor_quality(obs),
+            quality=floor_rung(self._rule.select_quality, obs),
             tier=TIER_RULE,
             latency=self.clock() - started,
             shard=-1,
@@ -873,21 +857,10 @@ class ShardedDecisionService:
         same ``(seed, count)`` against two shards — or the same shard at
         two times — compares cell-for-cell.
         """
-        slot = self.supervisor.slots[slot_index]
-        with slot.lock:
-            if not self.supervisor.is_alive(slot_index):
-                return None
-            try:
-                slot.conn.send(("tableprobe", seed, count))
-                if not slot.conn.poll(2.0):
-                    raise TimeoutError("table probe timed out")
-                tag, payload = slot.conn.recv()
-            except Exception:
-                self.supervisor.report_failure(slot_index)
-                return None
-        if tag != "ok":
+        reply = self._call(slot_index, ("tableprobe", seed, count), 2.0)
+        if reply is None or reply[0] != "ok":
             return None
-        version, cells = payload
+        version, cells = reply[1]
         return int(version), list(cells)
 
     def shard_table_versions(self) -> List[int]:
@@ -901,32 +874,15 @@ class ShardedDecisionService:
     def _swap_table(self, slot_index: int, path: str) -> Optional[int]:
         """Tell one worker to remap its table; returns the version it
         now serves, or ``None`` on failure (worker reported dead)."""
-        slot = self.supervisor.slots[slot_index]
-        with slot.lock:
-            if not self.supervisor.is_alive(slot_index):
-                return None
-            try:
-                slot.conn.send(("table", path))
-                if not slot.conn.poll(2.0):
-                    raise TimeoutError("table swap timed out")
-                tag, payload = slot.conn.recv()
-            except Exception:
-                self.supervisor.report_failure(slot_index)
-                return None
-        if tag != "ok":
+        reply = self._call(slot_index, ("table", path), 2.0)
+        if reply is None or reply[0] != "ok":
             return None
-        return int(payload)
+        return int(reply[1])
 
     def rollout(
         self,
         table: DecisionTable,
         probation: float = 0.5,
-        wave_size: int = 1,
-        probe_seed: int = 17,
-        probe_count: int = 128,
-        floor_rate_margin: float = 0.2,
-        error_rate_margin: float = 0.05,
-        p99_factor: float = 4.0,
         monitor=None,
     ) -> RolloutReport:
         """Canary a new decision table onto the fleet, or roll it back.
@@ -947,20 +903,13 @@ class ShardedDecisionService:
         fraction of the same sampled cells, candidate vs live — the
         poisoned-table detector) with windowed floor-rate /
         solver-error-rate deltas against the baseline shards and a p99
-        comparison against the deadline.
+        comparison against the deadline, each held to this module's
+        rollout constants (``FLOOR_RATE_MARGIN``, ``ERROR_RATE_MARGIN``,
+        ``P99_FACTOR``; ``ROLLOUT_WAVE_SIZE`` shards per wave).
 
         Args:
             table: the candidate (its version is assigned here).
             probation: seconds of live traffic the canary must survive.
-            wave_size: shards swapped per wave after the canary clears.
-            probe_seed / probe_count: deterministic cell-probe identity.
-            floor_rate_margin: max allowed canary-minus-baseline rise in
-                probe defer fraction or windowed floor rate.
-            error_rate_margin: max allowed windowed solver-error-rate
-                rise.
-            p99_factor: canary p99 must stay under
-                ``p99_factor × baseline p99`` once it breaches the
-                deadline.
             monitor: optional ``(stage, info) -> None`` callback fired at
                 every stage transition (the chaos soak keys its fault
                 injection off this).
@@ -975,15 +924,10 @@ class ShardedDecisionService:
             raise RuntimeError("cannot roll out a table while draining")
         with self._rollout_lock:
             return self._rollout_locked(
-                table, probation, wave_size, probe_seed, probe_count,
-                floor_rate_margin, error_rate_margin, p99_factor,
-                monitor or (lambda stage, info: None),
+                table, probation, monitor or (lambda stage, info: None),
             )
 
-    def _rollout_locked(
-        self, table, probation, wave_size, probe_seed, probe_count,
-        floor_rate_margin, error_rate_margin, p99_factor, notify,
-    ) -> RolloutReport:
+    def _rollout_locked(self, table, probation, notify) -> RolloutReport:
         publisher = TablePublisher(self.table_path)
         previous_version = publisher.live_version()
         path, version = publisher.publish(table)
@@ -1008,8 +952,8 @@ class ShardedDecisionService:
                 canary_shard=canary,
                 waves=waves,
                 stages=stages,
-                probe_seed=probe_seed,
-                probe_count=probe_count,
+                probe_seed=PROBE_SEED,
+                probe_count=PROBE_COUNT,
                 baseline_defer_fraction=base_frac,
                 canary_defer_fraction=canary_frac,
                 final_versions=self.shard_table_versions(),
@@ -1027,7 +971,7 @@ class ShardedDecisionService:
         # Baselines before anything changes: the live table's probe
         # (against the canary itself, still on the old version) and each
         # shard's counter snapshot to window the probation deltas.
-        base_probe = self.table_probe(canary, probe_seed, probe_count)
+        base_probe = self.table_probe(canary, PROBE_SEED, PROBE_COUNT)
         base_frac = _defer_fraction(base_probe[1]) if base_probe else -1.0
         base_stats = {i: self._shard_snapshot(i) for i in live}
 
@@ -1046,8 +990,6 @@ class ShardedDecisionService:
 
         verdict, canary_frac = self._judge_canary(
             canary, baseline_shards, version, base_frac, base_stats,
-            probe_seed, probe_count, floor_rate_margin, error_rate_margin,
-            p99_factor,
         )
         if verdict is not None:
             self._revert(swapped, publisher, path, previous_version)
@@ -1060,20 +1002,19 @@ class ShardedDecisionService:
         remaining = [
             i for i in self.supervisor.live_indices() if i not in swapped
         ]
-        step = max(1, wave_size)
-        for start in range(0, len(remaining), step):
-            wave = remaining[start:start + step]
+        for start in range(0, len(remaining), ROLLOUT_WAVE_SIZE):
+            wave = remaining[start:start + ROLLOUT_WAVE_SIZE]
             for i in wave:
                 if self._swap_table(i, path) == version:
                     swapped.append(i)
             waves.append(wave)
             stage("advance", shards=wave)
             for i in wave:
-                probe = self.table_probe(i, probe_seed, probe_count)
+                probe = self.table_probe(i, PROBE_SEED, PROBE_COUNT)
                 if probe is None or probe[0] != version:
                     continue  # died or restarted: convergence handles it
                 frac = _defer_fraction(probe[1])
-                if base_frac >= 0 and frac - base_frac > floor_rate_margin:
+                if base_frac >= 0 and frac - base_frac > FLOOR_RATE_MARGIN:
                     why = (
                         f"wave shard {i} floor-rate spike: probe defer "
                         f"fraction {frac:.2f} vs baseline {base_frac:.2f}"
@@ -1094,12 +1035,10 @@ class ShardedDecisionService:
 
     def _judge_canary(
         self, canary, baseline_shards, version, base_frac, base_stats,
-        probe_seed, probe_count, floor_rate_margin, error_rate_margin,
-        p99_factor,
     ) -> Tuple[Optional[str], float]:
         """The probation verdict: ``(reason-to-rollback or None,
         canary probe defer fraction)``."""
-        probe = self.table_probe(canary, probe_seed, probe_count)
+        probe = self.table_probe(canary, PROBE_SEED, PROBE_COUNT)
         if probe is None:
             return "canary unreachable at end of probation", -1.0
         canary_version, cells = probe
@@ -1110,7 +1049,7 @@ class ShardedDecisionService:
                 -1.0,
             )
         frac = _defer_fraction(cells)
-        if base_frac >= 0 and frac - base_frac > floor_rate_margin:
+        if base_frac >= 0 and frac - base_frac > FLOOR_RATE_MARGIN:
             return (
                 f"canary floor-rate spike: probe defer fraction "
                 f"{frac:.2f} vs baseline {base_frac:.2f}",
@@ -1132,13 +1071,13 @@ class ShardedDecisionService:
             base_error = sum(
                 w["error_rate"] for w in baseline_windows
             ) / len(baseline_windows)
-            if canary_window["floor_rate"] - base_floor > floor_rate_margin:
+            if canary_window["floor_rate"] - base_floor > FLOOR_RATE_MARGIN:
                 return (
                     f"canary floor rate {canary_window['floor_rate']:.2f} "
                     f"vs baseline {base_floor:.2f}",
                     frac,
                 )
-            if canary_window["error_rate"] - base_error > error_rate_margin:
+            if canary_window["error_rate"] - base_error > ERROR_RATE_MARGIN:
                 return (
                     f"canary solver-error rate "
                     f"{canary_window['error_rate']:.2f} vs baseline "
@@ -1154,7 +1093,7 @@ class ShardedDecisionService:
             default=0.0,
         )
         if canary_p99 > self.deadline and (
-            base_p99 <= 0 or canary_p99 > p99_factor * base_p99
+            base_p99 <= 0 or canary_p99 > P99_FACTOR * base_p99
         ):
             return (
                 f"canary p99 {canary_p99 * 1e3:.2f} ms breaches the "
@@ -1188,22 +1127,11 @@ class ShardedDecisionService:
 
     def _shard_snapshot(self, slot_index: int) -> dict:
         """One shard's health dict over the pipe (dead → ``live: False``)."""
-        slot = self.supervisor.slots[slot_index]
-        restarts = max(0, slot.generation - 1)
-        dead = {"live": False, "shard": slot_index, "restarts": restarts}
-        if not self.supervisor.is_alive(slot_index):
-            return dead
-        with slot.lock:
-            if not self.supervisor.is_alive(slot_index):
-                return dead
-            try:
-                slot.conn.send(("health",))
-                if not slot.conn.poll(1.0):
-                    raise TimeoutError("health poll timed out")
-                _tag, payload = slot.conn.recv()
-            except Exception:
-                self.supervisor.report_failure(slot_index)
-                return dead
+        restarts = max(0, self.supervisor.slots[slot_index].generation - 1)
+        reply = self._call(slot_index, ("health",), 1.0)
+        if reply is None:
+            return {"live": False, "shard": slot_index, "restarts": restarts}
+        payload = reply[1]
         payload["shard"] = slot_index
         payload["restarts"] = restarts
         return payload
@@ -1265,11 +1193,9 @@ class ShardedDecisionService:
             with slot.lock:
                 if self.supervisor.is_alive(slot.index):
                     try:
-                        slot.conn.send(("stop",))
-                        if slot.conn.poll(2.0):
-                            _tag, payload = slot.conn.recv()
-                            payload["shard"] = slot.index
-                            snapshot = payload
+                        _tag, payload = slot.call(("stop",), 2.0)
+                        payload["shard"] = slot.index
+                        snapshot = payload
                     except Exception:
                         pass
             snapshot["restarts"] = max(0, slot.generation - 1)

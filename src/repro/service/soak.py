@@ -45,7 +45,14 @@ from .breaker import CircuitBreaker
 from .degrade import TIER_SOLVER
 from .health import HealthSnapshot
 from .service import DecisionService, Tier0
-from .shard import FleetHealth, RolloutReport, ShardedDecisionService
+from .shard import (
+    PROBE_COUNT,
+    PROBE_SEED,
+    REQUEST_SLACK,
+    FleetHealth,
+    RolloutReport,
+    ShardedDecisionService,
+)
 
 __all__ = ["ChaosSolver", "SoakConfig", "SoakReport", "run_soak"]
 
@@ -61,8 +68,6 @@ NAN_RATE = 0.01
 ROLLOUT_PROBATION = 0.4
 #: seconds a SIGKILLed worker has to restart (a real process restart).
 RESTART_BUDGET = 10.0
-#: table cells the rollout scenario probes before and after the rollout.
-PROBE_SEED, PROBE_COUNT = 17, 128
 
 
 class ChaosSolver:
@@ -646,7 +651,7 @@ class _FleetSoak:
         # A request that catches the worker dying pays up to two full pipe
         # round trips (timeout on the dying shard, then the survivor).
         self.latency_slack = SCHEDULING_SLACK + 2.0 * (
-            cfg.deadline + self.service.request_slack
+            cfg.deadline + REQUEST_SLACK
         )
         total = cfg.sessions * cfg.segments_per_session
         self.kill_at = total // 2 if cfg.kill_at is None else cfg.kill_at
@@ -779,8 +784,6 @@ class _RolloutSoak(_FleetSoak):
         self.report = report = self.service.rollout(
             poison,
             probation=ROLLOUT_PROBATION,
-            probe_seed=PROBE_SEED,
-            probe_count=PROBE_COUNT,
             monitor=monitor,
         )
         self.say(

@@ -32,6 +32,10 @@ from typing import Callable, List, Optional, Tuple
 
 __all__ = ["RestartPolicy", "WorkerSlot", "Supervisor"]
 
+#: seconds an idle worker may take to answer a heartbeat before it is
+#: declared wedged
+PING_TIMEOUT = 0.5
+
 
 @dataclass(frozen=True)
 class RestartPolicy:
@@ -88,6 +92,15 @@ class WorkerSlot:
         proc = self.proc
         return proc.pid if proc is not None else None
 
+    def call(self, message: tuple, timeout: float) -> tuple:
+        """Send ``message`` and return the worker's reply; the caller holds
+        :attr:`lock`.  Raises on a broken pipe or no reply in ``timeout``."""
+        conn = self.conn
+        conn.send(message)
+        if not conn.poll(timeout):
+            raise TimeoutError(f"shard {self.index}: no reply to {message[0]}")
+        return conn.recv()
+
 
 class Supervisor:
     """Keeps N shard workers alive: heartbeats, kills, bounded restarts.
@@ -97,8 +110,6 @@ class Supervisor:
         spawn: ``(slot_index, generation) -> (process, conn)`` — forks a
             fresh worker for a slot; provided by the front end.
         heartbeat_interval: monitor poll period, seconds.
-        ping_timeout: how long an idle worker may take to answer a
-            heartbeat before being declared wedged, seconds.
         policy: restart backoff tuning.
         clock: injectable monotonic time source.
 
@@ -111,17 +122,15 @@ class Supervisor:
         slots: int,
         spawn: Callable[[int, int], Tuple[object, object]],
         heartbeat_interval: float = 0.25,
-        ping_timeout: float = 0.5,
         policy: Optional[RestartPolicy] = None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
         if slots < 1:
             raise ValueError("need at least one shard slot")
-        if heartbeat_interval <= 0 or ping_timeout <= 0:
-            raise ValueError("intervals must be positive")
+        if heartbeat_interval <= 0:
+            raise ValueError("heartbeat_interval must be positive")
         self.policy = policy or RestartPolicy()
         self.heartbeat_interval = heartbeat_interval
-        self.ping_timeout = ping_timeout
         self.clock = clock or time.monotonic
         self.slots: List[WorkerSlot] = [WorkerSlot(i) for i in range(slots)]
         self._spawn = spawn
@@ -253,11 +262,7 @@ class Supervisor:
         if not slot.lock.acquire(blocking=False):
             return
         try:
-            conn = slot.conn
-            conn.send(("ping",))
-            if not conn.poll(self.ping_timeout):
-                raise TimeoutError("heartbeat timed out")
-            conn.recv()
+            slot.call(("ping",), PING_TIMEOUT)
         except Exception:
             with self._lock:
                 self.heartbeat_failures += 1

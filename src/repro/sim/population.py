@@ -586,21 +586,26 @@ class SolverBackend:
 
     Routes the whole active population through
     :func:`repro.core.fastpath.solve_sessions_batch` — one vectorized
-    pass per (prev-rung) bundle — and commits each session's first
-    planned step.  Coarser than the full controller (no per-session
-    plan cache or finalize fallbacks), but every decision is a real
-    Algorithm 1 solve, making this the reference point for how much
-    fleet QoE the table approximation costs.
+    pass per (prev-rung) bundle — and commits each plan by SODA's own
+    rules, exactly as :class:`~repro.core.lookup.DecisionTable` builds a
+    cell: the first-step caps go into the solve, and
+    ``SodaController._finalize`` adds the horizon-1 retry and the defer
+    and top-rung fallbacks.  A defer answers ``-1``, as
+    :class:`TableBackend` does.  Every decision is what
+    ``SodaController.decide`` returns for the row's state, making this the
+    reference point for how much fleet QoE the table approximation costs.
     """
 
     name = "solver"
 
     def __init__(self, ladder: BitrateLadder, max_buffer: float) -> None:
+        from ..core.controller import SodaController
         from ..core.objective import SodaConfig
 
         self.ladder = ladder
         self.max_buffer = float(max_buffer)
-        self.config = SodaConfig()
+        self.config = SodaConfig(plan_cache=False)
+        self._controller = SodaController(config=self.config)
 
     def decide(
         self,
@@ -612,23 +617,32 @@ class SolverBackend:
     ) -> np.ndarray:
         from ..core.fastpath import SessionSolveRequest, solve_sessions_batch
 
-        requests = [
-            SessionSolveRequest(
-                omega=max(float(throughputs[i]), 1e-6),
-                buffer_level=float(buffers[i]),
+        controller, cfg, ladder = self._controller, self.config, self.ladder
+        requests = []
+        for i in range(len(throughputs)):
+            omega = max(float(throughputs[i]), 1e-6)
+            buffer_level = float(buffers[i])
+            requests.append(SessionSolveRequest(
+                omega=omega,
+                buffer_level=buffer_level,
                 prev_quality=(
                     None if prev_rungs[i] < 0 else int(prev_rungs[i])
                 ),
-                ladder=self.ladder,
-                cfg=self.config,
+                ladder=ladder,
+                cfg=cfg,
                 max_buffer=self.max_buffer,
-            )
-            for i in range(len(throughputs))
-        ]
+                first_cap=controller._first_step_cap(
+                    omega, buffer_level, self.max_buffer, ladder, cfg
+                ),
+            ))
         plans = solve_sessions_batch(requests)
-        out = np.zeros(len(plans), dtype=np.int64)
-        for i, plan in enumerate(plans):
-            out[i] = plan.sequence[0] if plan.feasible else 0
+        out = np.empty(len(plans), dtype=np.int64)
+        for i, (req, plan) in enumerate(zip(requests, plans)):
+            decision = controller._finalize(
+                plan, np.full(cfg.horizon, req.omega), req.buffer_level,
+                req.prev_quality, ladder, self.max_buffer, req.first_cap,
+            )
+            out[i] = -1 if decision is None else decision
         return out
 
     def close(self) -> None:  # pragma: no cover - nothing to release

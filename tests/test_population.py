@@ -237,6 +237,36 @@ class TestEventCore:
         assert report.decisions > 0
         assert report.fleet["fleet"]["arrivals"] > 0
 
+    def test_solver_backend_decides_like_the_controller(self):
+        """Every row gets ``SodaController.decide``'s answer for its state
+        (a defer as -1): first-step caps, horizon-1 retry and the defer
+        and top-rung fallbacks included, where all rungs overflow too."""
+        from repro.core.controller import SodaController
+        from repro.core.objective import SodaConfig
+        from repro.sim.video import prime_video_live_ladder
+
+        ladder = prime_video_live_ladder()
+        max_buffer = 20.0
+        tputs = np.geomspace(0.1, 40.0, 15)
+        buffers = np.linspace(0.0, max_buffer, 11)
+        prevs = np.arange(-1, ladder.levels)
+        t, b, p = (a.ravel() for a in np.meshgrid(
+            tputs, buffers, prevs, indexing="ij"
+        ))
+        got = SolverBackend(ladder, max_buffer).decide(
+            t, b, p, [f"s{i}" for i in range(t.size)], 0.0
+        )
+        controller = SodaController(config=SodaConfig(plan_cache=False))
+        want = [
+            controller.decide(
+                tput, buf, None if prev < 0 else int(prev), ladder,
+                max_buffer,
+            )
+            for tput, buf, prev in zip(t, b, p)
+        ]
+        assert t.size == 1815
+        assert got.tolist() == [-1 if w is None else w for w in want]
+
 
 # ----------------------------------------------------------------------
 # crash-survivable execution

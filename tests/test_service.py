@@ -1,5 +1,6 @@
 """Tests for the multi-session decision service (repro.service)."""
 
+import dataclasses
 import json
 import math
 import threading
@@ -10,7 +11,7 @@ from repro.service import (
     TIER_RULE,
     TIER_SOLVER,
     TIER_TABLE,
-    AdmissionGate,
+    AdaptiveGate,
     BreakerState,
     CircuitBreaker,
     DecisionService,
@@ -285,10 +286,10 @@ class TestDegradationLadder:
 class TestAdmission:
     def test_gate_validation(self):
         with pytest.raises(ValueError):
-            AdmissionGate(0)
+            AdaptiveGate(0, deadline=0.1)
 
     def test_gate_sheds_beyond_capacity(self):
-        gate = AdmissionGate(2)
+        gate = AdaptiveGate(2, deadline=0.1)
         assert gate.try_acquire()
         assert gate.try_acquire()
         assert not gate.try_acquire()
@@ -298,7 +299,7 @@ class TestAdmission:
         assert gate.max_in_flight_seen == 2
 
     def test_gate_over_release_raises(self):
-        gate = AdmissionGate(1)
+        gate = AdaptiveGate(1, deadline=0.1)
         with pytest.raises(RuntimeError):
             gate.release()
 
@@ -524,6 +525,66 @@ class TestDecisionService:
         entry = service.sessions.peek("s")
         assert entry is not None
         assert entry.state.last_fed == 1.0
+
+
+# ----------------------------------------------------------------------
+class TestMalformedPreviousRung:
+    """A previous rung the ladder cannot hold is repaired to "no previous
+    rung" like any other corrupt field, instead of reaching the solver."""
+
+    BAD_RUNGS = (99, 6, -2, 2.5, 99)
+
+    @staticmethod
+    def make_service():
+        from repro.sim.video import youtube_4k_ladder
+
+        return DecisionService(
+            youtube_4k_ladder(), 20.0, table_points=8, clock=FakeClock()
+        )
+
+    @staticmethod
+    def obs(ladder, prev, segment=5):
+        from repro.prediction.base import ThroughputSample
+
+        tput = 2.0 + 1.5 * segment
+        return PlayerObservation(
+            wall_time=2.0 * segment,
+            segment_index=segment,
+            buffer_level=4.0 + segment,
+            max_buffer=20.0,
+            previous_quality=prev,
+            ladder=ladder,
+            history=(ThroughputSample(
+                start=2.0 * segment - 1.0, duration=1.0, size=tput,
+                throughput=tput,
+            ),),
+        )
+
+    def test_decide_answers_as_if_there_were_no_previous_rung(self):
+        service, reference = self.make_service(), self.make_service()
+        ladder = service.ladder
+        for i, bad in enumerate(self.BAD_RUNGS):
+            got = service.decide(f"s{i}", self.obs(ladder, bad, segment=i))
+            want = reference.decide(f"s{i}", self.obs(ladder, None, segment=i))
+            assert not want.sanitized
+            assert got == dataclasses.replace(want, sanitized=True)
+            assert got.tier == TIER_SOLVER and not got.solver_error
+        assert service.breaker.state is BreakerState.CLOSED
+        assert service.stats().sanitized_observations == len(self.BAD_RUNGS)
+
+    def test_one_bad_row_leaves_the_rest_of_the_batch_alone(self):
+        ladder = self.make_service().ladder
+        good = [
+            (f"g{i}", self.obs(ladder, i % ladder.levels, segment=i))
+            for i in range(7)
+        ]
+        want = self.make_service().decide_many(good)
+        for bad in set(self.BAD_RUNGS):
+            batch = good[:3] + [("bad", self.obs(ladder, bad))] + good[3:]
+            got = self.make_service().decide_many(batch)
+            assert all(0 <= d.quality < ladder.levels for d in got)
+            assert got[3].sanitized and not got[3].solver_error
+            assert got[:3] + got[4:] == want
 
 
 # ----------------------------------------------------------------------

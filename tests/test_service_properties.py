@@ -18,6 +18,7 @@ that advances the clock by more than the remaining budget has overrun.
 import math
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -412,3 +413,42 @@ class TestAdaptiveGateAimdProperties:
         assert admitted <= gate.limit
         for _ in range(admitted):
             gate.release()
+
+
+# ----------------------------------------------------------------------
+# Tier-1 table: one nearest-cell rule for a row and for a batch
+# ----------------------------------------------------------------------
+from repro.core.lookup import DecisionTable  # noqa: E402
+from repro.sim.video import youtube_4k_ladder  # noqa: E402
+
+TABLE = DecisionTable(
+    youtube_4k_ladder(), 20.0, throughput_points=8, buffer_points=8
+)
+
+table_rows = st.lists(
+    st.tuples(
+        st.floats(),  # throughput, Mb/s: any float, NaN and ±inf included
+        st.floats(),  # buffer level, seconds
+        st.one_of(
+            st.none(),
+            st.integers(min_value=-3, max_value=TABLE.ladder.levels + 3),
+        ),
+    ),
+    min_size=1, max_size=16,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=table_rows)
+def test_scalar_lookup_reads_the_batch_lookups_cell(rows):
+    """``lookup`` answers every row exactly as ``lookup_batch`` does —
+    out-of-range rungs, non-finite throughputs and buffers included —
+    with a defer cell as ``None``."""
+    tputs, buffers, prevs = zip(*rows)
+    cells = TABLE.lookup_batch(
+        np.array(tputs), np.array(buffers),
+        np.array([-1 if p is None else p for p in prevs]),
+    )
+    for tput, buffer_level, prev, cell in zip(tputs, buffers, prevs, cells):
+        expected = None if cell < 0 else int(cell)
+        assert TABLE.lookup(tput, buffer_level, prev) == expected

@@ -315,6 +315,28 @@ class TestKillAndRehome:
             service.close()
 
 
+def test_wedged_worker_is_detected_by_the_request_that_finds_it(fleet):
+    """A stopped worker is alive but never answers: the round trip times
+    out (or the heartbeat does first), the worker is killed, the session
+    re-homes onto the survivor, and the supervisor restarts the slot."""
+    victim, survivor = 0, 1
+    sid = session_homed_on(fleet, victim, tag="wedged")
+    assert fleet.decide(sid, make_obs()).shard == victim
+
+    os.kill(fleet.worker_pids()[victim], signal.SIGSTOP)
+
+    decision = fleet.decide(sid, make_obs())
+    assert decision.shard == survivor
+    assert decision.rehomed
+    assert not decision.failover
+    assert fleet.table_probe(victim, 0, 0) is None
+    slot = fleet.supervisor.slots[victim]
+    assert wait_until(
+        lambda: fleet.supervisor.is_alive(victim) and slot.generation == 2
+    )
+    assert fleet.supervisor.counters()["worker_deaths"] == 1
+
+
 class TestDrain:
     def test_close_returns_final_fleet_health(self, fleet):
         fleet.decide("drain-a", make_obs())
