@@ -9,6 +9,8 @@ first rung of the K-step plan.
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -25,7 +27,7 @@ from .fastpath import (
     solve_sessions_batch,
 )
 from .objective import SodaConfig
-from .solver import PlanResult, solve_brute_force, solve_monotonic
+from .solver import _TOL, PlanResult, solve_brute_force, solve_monotonic
 
 __all__ = ["SodaController", "select_quality_batch"]
 
@@ -36,6 +38,60 @@ _SOLVERS = {
     ("fast", False): solve_monotonic_fast,
     ("fast", True): solve_brute_force_fast,
 }
+
+#: ``last_plan`` of a decision answered without a solve: infeasible, and no
+#: candidate scored
+_UNSOLVED = PlanResult(None, math.inf, (), 0)
+
+#: guard band of :func:`_all_overflow` per unit of magnitude: 2⁻⁴⁹ = 16u
+#: (u = 2⁻⁵³, the float64 unit roundoff), twice the 8u the closed form,
+#: the kernel and the test's own rounding can differ by (DESIGN §8)
+_GUARD = 2.0 ** -49
+
+
+def _all_overflow(
+    omega0: float, buffer_level: float, ladder, max_buffer: float
+) -> bool:
+    """Whether every candidate plan overflows the buffer at its first step.
+
+    The top rung's first step ``buffer + ω₀·Δt/r_max − Δt`` lands beyond
+    ``max_buffer + _TOL`` by more than a guard band, and a lower rung only
+    lands higher, so both backends prune every candidate on their own
+    first-step test, the horizon-1 retry included: the solve cannot change
+    the answer.  The guard band covers the rounding gap between this
+    expression and the kernel's ``ω₀·(Δt/r) + (buffer − Δt)``; a non-finite
+    state makes it inf or NaN, so the test fails and the full path runs.
+    """
+    dt = ladder.segment_duration
+    gain = omega0 * dt / ladder.max_bitrate
+    x1 = buffer_level + gain - dt
+    guard = _GUARD * (abs(buffer_level) + abs(gain) + dt + abs(max_buffer))
+    return x1 - guard > max_buffer + _TOL
+
+
+def _overflow_rung(
+    buffer_level: float, target: float, first_cap: Optional[int], ladder
+) -> Optional[int]:
+    """SODA's answer when every rung overflows the model buffer.
+
+    Defer while the buffer sits above target (Figure 5's blank region), but
+    never below it: there the Δt model's overflow is an artifact, because
+    the real player downloads exactly one segment and enforces buffer room
+    itself.  So below target take the first-step cap, or the top rung.
+    """
+    if buffer_level > target:
+        return None
+    if first_cap is not None:
+        return first_cap
+    return ladder.levels - 1
+
+
+@lru_cache(maxsize=64)
+def _one_step(cfg: SodaConfig) -> SodaConfig:
+    """``cfg`` at horizon 1 for the underflow retry, built once per config,
+    so the retry neither revalidates a fresh config nor makes the bundle
+    cache compare one field by field."""
+    return cfg.with_(horizon=1)
 
 
 class SodaController(AbrController):
@@ -50,6 +106,12 @@ class SodaController(AbrController):
     The controller returns ``None`` (defer) when any download would overflow
     the buffer — the blank region of Figure 5 — and falls back to the lowest
     rung when the network is too slow for any feasible plan.
+
+    A decision runs in this order: the first-step caps; then, when even the
+    top rung's first step overflows the buffer, the closed-form answer with
+    no solve and no plan-cache probe; otherwise the plan cache, the K-step
+    solve, and — when that plan is infeasible — the horizon-1 retry and the
+    fallback rules of :meth:`_finalize`.
     """
 
     name = "soda"
@@ -145,6 +207,12 @@ class SodaController(AbrController):
         first_cap = self._first_step_cap(
             cap_tput, buffer_level, max_buffer, ladder, cfg
         )
+        if self._skips_solve(omega, buffer_level, ladder, max_buffer):
+            self.last_plan = _UNSOLVED
+            return _overflow_rung(
+                buffer_level, cfg.resolve_target(max_buffer), first_cap,
+                ladder,
+            )
         plan = self._solve(
             omega, buffer_level, prev_quality, ladder, max_buffer, cfg, dt,
             first_cap,
@@ -153,6 +221,16 @@ class SodaController(AbrController):
             plan, omega, buffer_level, prev_quality, ladder, max_buffer,
             first_cap,
         )
+
+    def _skips_solve(
+        self, omega, buffer_level: float, ladder, max_buffer: float
+    ) -> bool:
+        """:func:`_all_overflow` for a prediction vector, which it validates
+        exactly as the solve it skips would, so a bad one still raises."""
+        if not _all_overflow(float(omega[0]), buffer_level, ladder, max_buffer):
+            return False
+        _pred(omega, self.config.horizon)
+        return True
 
     def _finalize(
         self,
@@ -179,7 +257,7 @@ class SodaController(AbrController):
             # a one-step look-ahead before applying the hard fallbacks.
             plan = self._solve(
                 omega[:1], buffer_level, prev_quality, ladder, max_buffer,
-                cfg.with_(horizon=1), dt, first_cap,
+                _one_step(cfg), dt, first_cap,
             )
         self.last_plan = plan
         target = cfg.resolve_target(max_buffer)
@@ -204,21 +282,13 @@ class SodaController(AbrController):
                     return None
             return plan.quality
 
-        # Still infeasible.  Two cases:
-        # * every rung overflows the model buffer (throughput far above the
-        #   ladder).  Defer while the buffer sits above target — Figure 5's
-        #   blank region — but never below it, because the Δt model's
-        #   overflow is an artifact there: the real player downloads exactly
-        #   one segment and enforces buffer room itself.
-        # * the network is too slow for any plan: take the lowest rung and
-        #   accept the buffer drain.
+        # Still infeasible.  Either every rung overflows the model buffer
+        # (throughput far above the ladder; ``_select`` answers most of these
+        # without solving), or the network is too slow for any plan: take
+        # the lowest rung and accept the buffer drain.
         x1_fastest = buffer_level + omega[0] * dt / ladder.max_bitrate - dt
         if x1_fastest > max_buffer:
-            if buffer_level > target:
-                return None
-            if first_cap is not None:
-                return first_cap
-            return ladder.levels - 1
+            return _overflow_rung(buffer_level, target, first_cap, ladder)
         return 0
 
     # ------------------------------------------------------------------
@@ -309,14 +379,17 @@ def select_quality_batch(
 
     Behaves exactly like calling ``ctrl.select_quality(obs)`` for each pair
     in order — same committed rungs and defers, same plan-cache hit/miss
-    accounting, same ``last_plan`` side effects — but the main horizon
-    solves of all cache-missing sessions run through
+    accounting, same ``last_plan`` side effects, set in request order — but
+    the main horizon solves of all cache-missing sessions run through
     :func:`repro.core.fastpath.solve_sessions_batch` in a few vectorized
     passes grouped by bundle key.  Only the fast backend batches;
     reference-backend controllers fall back to the sequential path inline.
-    The rare horizon-1 infeasibility retry inside ``_finalize`` stays
-    sequential (it reuses the untouched single-session code, so parity is
-    by construction).
+    A row whose every plan overflows the buffer is answered in closed form
+    before the plan-cache probe and never enqueued, as in
+    :meth:`SodaController._select`.  The horizon-1 infeasibility retry
+    inside ``_finalize`` stays sequential (it reuses the untouched
+    single-session code, so parity is by construction); it is not rare —
+    on perfbench's sweep about one decision in six still takes it.
 
     Faults are isolated per session: an exception raised while deciding for
     one pair (invalid prediction, corrupt observation, a raising solver) is
@@ -337,6 +410,9 @@ def select_quality_batch(
     # it after the batch solve so the counters stay faithful.
     pending_key_owner: dict = {}
     dup = [False] * n
+    # Rows answered in closed form, i → (controller, answer); their
+    # ``last_plan`` is set in the second pass so it lands in request order.
+    unsolved: dict = {}
 
     for i, (ctrl, obs) in enumerate(pairs):
         try:
@@ -357,6 +433,12 @@ def select_quality_batch(
             first_cap = ctrl._first_step_cap(
                 cap_tput, obs.buffer_level, obs.max_buffer, ladder, cfg
             )
+            if ctrl._skips_solve(omega, obs.buffer_level, ladder, obs.max_buffer):
+                unsolved[i] = (ctrl, _overflow_rung(
+                    obs.buffer_level, cfg.resolve_target(obs.max_buffer),
+                    first_cap, ladder,
+                ))
+                continue
             cache = ctrl._plan_cache
             key = None
             plan = None
@@ -393,8 +475,12 @@ def select_quality_batch(
     if pending_reqs:
         solved = dict(zip(pending, solve_sessions_batch(pending_reqs)))
 
-    for i, pair in enumerate(pairs):
+    for i in range(n):
         if done[i]:
+            continue
+        if i in unsolved:
+            ctrl, results[i] = unsolved[i]
+            ctrl.last_plan = _UNSOLVED
             continue
         ctrl, obs, omega, first_cap, cache, key, plan = prepped[i]
         try:

@@ -243,19 +243,23 @@ def _pred(omega, horizon: int):
             raise ValueError("throughput predictions must be non-negative")
         return w
     arr = np.atleast_1d(np.asarray(omega, dtype=float))
-    if arr.size == 1:
-        w = float(arr[0])
+    # The checks run on Python floats, which compare exactly as the array
+    # does (NaN included); on a K-vector, array reductions cost several
+    # times more than the whole list pass.
+    values = arr.ravel().tolist()
+    if len(values) == 1:
+        w = values[0]
         if w < 0:
             raise ValueError("throughput predictions must be non-negative")
         return w
-    if arr.size != horizon:
+    if len(values) != horizon:
         raise ValueError(
-            f"prediction length {arr.size} does not match horizon {horizon}"
+            f"prediction length {len(values)} does not match horizon {horizon}"
         )
-    if np.any(arr < 0):
+    if any(v < 0 for v in values):
         raise ValueError("throughput predictions must be non-negative")
-    w = float(arr[0])
-    if np.all(arr == w):
+    w = values[0]
+    if all(v == w for v in values):
         return w
     return arr
 

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..sim.video import BitrateLadder
-from .controller import _SOLVERS, SodaController
+from .controller import _SOLVERS, SodaController, _all_overflow, _overflow_rung
 from .objective import SodaConfig
 
 __all__ = ["DecisionTable", "TableFormatError", "TablePublisher"]
@@ -125,37 +125,42 @@ class DecisionTable:
     def _build(self) -> TableStats:
         """Solve every cell with the online path's own solver and rules.
 
-        The first-step caps depend only on (throughput, buffer), so each
-        throughput row computes them once for all previous rungs.  Each
-        cell then runs the backend's single-session solver on the scalar
-        prediction and the same ``SodaController._finalize`` the online
-        path uses, keeping the table cell-for-cell identical to the
-        per-cell ``decide`` loop on either backend.
+        The first-step caps and the all-overflow test depend only on
+        (throughput, buffer), so each such pair computes them once for all
+        previous rungs; where every plan overflows, the whole previous-rung
+        row takes the closed-form answer.  Every other cell runs the
+        backend's single-session solver on the scalar prediction and the
+        same ``SodaController._finalize`` the online path uses, keeping the
+        table cell-for-cell identical to the per-cell ``decide`` loop on
+        either backend.
         """
         start = time.perf_counter()
         cfg = self.config
+        ladder, max_buffer = self.ladder, self.max_buffer
         controller = SodaController(config=cfg)
         solve = _SOLVERS[(cfg.solver_backend, cfg.use_brute_force)]
-        buffers = [float(b) for b in self._buffer_grid]
+        target = cfg.resolve_target(max_buffer)
         for ti, tput in enumerate(self._tput_grid):
             omega = np.full(cfg.horizon, max(float(tput), 0.0))
             pred = float(omega[0])
-            caps = [
-                controller._first_step_cap(
-                    pred, buf, self.max_buffer, self.ladder, cfg
+            for bi, buf in enumerate(self._buffer_grid.tolist()):
+                cap = controller._first_step_cap(
+                    pred, buf, max_buffer, ladder, cfg
                 )
-                for buf in buffers
-            ]
-            for prev_axis in range(self.ladder.levels + 1):
-                prev = None if prev_axis == 0 else prev_axis - 1
-                for bi, (buf, cap) in enumerate(zip(buffers, caps)):
+                if _all_overflow(pred, buf, ladder, max_buffer):
+                    decision = _overflow_rung(buf, target, cap, ladder)
+                    self._table[ti, bi, :] = (
+                        _DEFER if decision is None else decision
+                    )
+                    continue
+                for prev_axis in range(ladder.levels + 1):
+                    prev = None if prev_axis == 0 else prev_axis - 1
                     plan = solve(
-                        pred, buf, prev, self.ladder, cfg, self.max_buffer,
+                        pred, buf, prev, ladder, cfg, max_buffer,
                         first_cap=cap,
                     )
                     decision = controller._finalize(
-                        plan, omega, buf, prev, self.ladder,
-                        self.max_buffer, cap,
+                        plan, omega, buf, prev, ladder, max_buffer, cap,
                     )
                     self._table[ti, bi, prev_axis] = (
                         _DEFER if decision is None else decision

@@ -82,7 +82,10 @@ class SodaConfig:
         beta: weight β of the buffer-stability cost.
         gamma: weight γ of the switching cost.
         target_buffer: target buffer level x̄ in seconds; when None, the
-            controller uses 60% of the player's max buffer.
+            controller uses 80% of the player's max buffer (see
+            :meth:`resolve_target`).  When every rung would overflow the
+            buffer, the controller defers above this target and fetches
+            below it.
         epsilon: roll-off factor ε < 1 applied above the target.
         distortion: "reciprocal" or "log".
         switch_event_cost: κ — additional per-event term of the switching

@@ -584,11 +584,13 @@ class TableBackend:
 class SolverBackend:
     """Exact tier-0 backend: cross-session batched horizon solves.
 
-    Routes the whole active population through
+    Applies SODA's rules in the online order, exactly as
+    :class:`~repro.core.lookup.DecisionTable` builds a cell: the
+    first-step caps first; a row whose every plan overflows the buffer
+    takes the closed-form answer with no solve; the rest of the active
+    population goes through
     :func:`repro.core.fastpath.solve_sessions_batch` — one vectorized
-    pass per (prev-rung) bundle — and commits each plan by SODA's own
-    rules, exactly as :class:`~repro.core.lookup.DecisionTable` builds a
-    cell: the first-step caps go into the solve, and
+    pass per (prev-rung) bundle — with the caps in the solve, and
     ``SodaController._finalize`` adds the horizon-1 retry and the defer
     and top-rung fallbacks.  A defer answers ``-1``, as
     :class:`TableBackend` does.  Every decision is what
@@ -615,13 +617,27 @@ class SolverBackend:
         session_ids: Sequence[str],
         wall_time: float,
     ) -> np.ndarray:
+        from ..core.controller import _all_overflow, _overflow_rung
         from ..core.fastpath import SessionSolveRequest, solve_sessions_batch
 
         controller, cfg, ladder = self._controller, self.config, self.ladder
-        requests = []
+        max_buffer = self.max_buffer
+        target = cfg.resolve_target(max_buffer)
+        out = np.empty(len(throughputs), dtype=np.int64)
+        rows, requests = [], []
         for i in range(len(throughputs)):
             omega = max(float(throughputs[i]), 1e-6)
             buffer_level = float(buffers[i])
+            first_cap = controller._first_step_cap(
+                omega, buffer_level, max_buffer, ladder, cfg
+            )
+            if _all_overflow(omega, buffer_level, ladder, max_buffer):
+                decision = _overflow_rung(
+                    buffer_level, target, first_cap, ladder
+                )
+                out[i] = -1 if decision is None else decision
+                continue
+            rows.append(i)
             requests.append(SessionSolveRequest(
                 omega=omega,
                 buffer_level=buffer_level,
@@ -630,17 +646,14 @@ class SolverBackend:
                 ),
                 ladder=ladder,
                 cfg=cfg,
-                max_buffer=self.max_buffer,
-                first_cap=controller._first_step_cap(
-                    omega, buffer_level, self.max_buffer, ladder, cfg
-                ),
+                max_buffer=max_buffer,
+                first_cap=first_cap,
             ))
         plans = solve_sessions_batch(requests)
-        out = np.empty(len(plans), dtype=np.int64)
-        for i, (req, plan) in enumerate(zip(requests, plans)):
+        for i, req, plan in zip(rows, requests, plans):
             decision = controller._finalize(
                 plan, np.full(cfg.horizon, req.omega), req.buffer_level,
-                req.prev_quality, ladder, self.max_buffer, req.first_cap,
+                req.prev_quality, ladder, max_buffer, req.first_cap,
             )
             out[i] = -1 if decision is None else decision
         return out

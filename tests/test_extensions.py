@@ -187,8 +187,11 @@ class TestDecisionTable:
         table.lookup(1e9, 25.0, 2)  # clamps, must not raise
 
     def test_agreement_reasonable(self, table):
+        # Reads 0.92; over seeds 0-4 at 2,000 samples this table agrees
+        # 0.889-0.900 of the time (DESIGN §9), so 0.85 leaves a margin of
+        # about 0.04 below the lowest measured seed.
         agreement = table.agreement_with_solver(samples=300, seed=1)
-        assert agreement > 0.6
+        assert agreement > 0.85
 
     def test_validation(self, ladder):
         with pytest.raises(ValueError):
