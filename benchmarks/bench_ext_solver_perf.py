@@ -13,8 +13,12 @@ The *amortized* mode (``test_amortized_batch_cost``) measures the
 cross-session batched kernel instead: per-decision cost of
 ``solve_sessions_batch`` at batch sizes 1/8/32/128 over one shared
 bundle, gated at a ≥3x amortized speedup at batch 32 vs batch 1 with the
-batch-32 p99 wall time under the serving deadline; the curve is appended
-to the root-level ``BENCH_service.json`` perf journal (mode
+batch-32 p99 wall time under the serving deadline.  A second population
+rotates through all seven anchors of the ladder (no previous rung, and
+every rung), as a serving chunk does: a 16-request mixed batch must cost
+at most 2/3 per decision of solving the same requests one at a time with
+``solve_monotonic_fast`` (≥1.5x).  The curve and the mixed-anchor point
+are appended to the root-level ``BENCH_service.json`` perf journal (mode
 ``amortized``).
 """
 
@@ -45,6 +49,10 @@ JOURNAL = os.environ.get("REPRO_BENCH_SERVICE_JOURNAL", "BENCH_service.json")
 REQUIRED_SPEEDUP = 2.0
 #: acceptance floor for batch-32 amortization over batch-1
 REQUIRED_AMORTIZED_SPEEDUP = 3.0
+#: acceptance floor for a mixed-anchor batch over single solves
+REQUIRED_MIXED_SPEEDUP = 1.5
+#: batch size of the mixed-anchor gate (the service's default tier-0 chunk)
+MIXED_BATCH = 16
 #: serving deadline the batch-32 p99 must stay under, seconds
 SERVING_DEADLINE = 0.05
 BATCH_SIZES = (1, 8, 32, 128)
@@ -132,34 +140,50 @@ def test_solver_fast_path_speedup(benchmark):
 
 
 # ----------------------------------------------------------------------
-def _session_population(ladder, cfg, size, seed=23):
-    """``size`` live states sharing one bundle (the service's hot case)."""
+def _session_population(ladder, cfg, size, seed=23, anchors=(3,)):
+    """``size`` live states whose previous rungs rotate through
+    ``anchors``; the default shares one bundle (the service's hot case)."""
     rng = random.Random(seed)
     return [
         SessionSolveRequest(
             omega=float(rng.uniform(0.2, 30.0)),
             buffer_level=rng.uniform(0.0, MAX_BUFFER),
-            prev_quality=3,
+            prev_quality=anchors[j % len(anchors)],
             ladder=ladder,
             cfg=cfg,
             max_buffer=MAX_BUFFER,
         )
-        for _ in range(size)
+        for j in range(size)
     ]
+
+
+def _solve_one_at_a_time(requests):
+    """The S=1 baseline: each request through ``solve_monotonic_fast``."""
+    for req in requests:
+        solve_monotonic_fast(
+            req.omega, req.buffer_level, req.prev_quality, req.ladder,
+            req.cfg, req.max_buffer,
+        )
 
 
 def test_amortized_batch_cost(benchmark):
     """Amortized mode: per-decision cost of the batched kernel vs size."""
     ladder = youtube_4k_ladder()
     cfg = SodaConfig(horizon=5)
+    every_anchor = (None,) + tuple(range(ladder.levels))
 
     def experiment():
         # warm the bundle cache so the fixed per-call overhead measured
         # is dispatch + array assembly, not one-off candidate enumeration
-        solve_sessions_batch(_session_population(ladder, cfg, 1))
+        solve_sessions_batch(
+            _session_population(ladder, cfg, 7, anchors=every_anchor)
+        )
 
         # equivalence smoke: the timed kernel is the proven-identical one
         check = _session_population(ladder, cfg, 64, seed=5)
+        check += _session_population(
+            ladder, cfg, 64, seed=5, anchors=every_anchor
+        )
         for req, plan in zip(check, solve_sessions_batch(check)):
             single = solve_monotonic_fast(
                 req.omega, req.buffer_level, req.prev_quality, ladder,
@@ -168,10 +192,23 @@ def test_amortized_batch_cost(benchmark):
             assert plan.quality == single.quality
             assert plan.objective == single.objective
 
-        populations = {
-            size: _session_population(ladder, cfg, size)
+        mixed = _session_population(
+            ladder, cfg, MIXED_BATCH, anchors=every_anchor
+        )
+        # Timed cases, interleaved: the one-anchor curve by batch size,
+        # then the mixed-anchor batch and its one-at-a-time baseline.
+        timed = {
+            size: (
+                lambda p=_session_population(ladder, cfg, size):
+                solve_sessions_batch(p),
+                size,
+            )
             for size in BATCH_SIZES
         }
+        timed["mixed"] = (lambda: solve_sessions_batch(mixed), MIXED_BATCH)
+        timed["mixed_single"] = (
+            lambda: _solve_one_at_a_time(mixed), MIXED_BATCH
+        )
         # Per-size timing, two estimators:
         #  - amortized cost: min over interleaved trials of the trial's
         #    mean call time.  The min estimates intrinsic cost — a
@@ -180,26 +217,26 @@ def test_amortized_batch_cost(benchmark):
         #    machine-wide drift hits every size equally instead of
         #    skewing the ratio the gate is built on.
         #  - p99: over individual call times, for the deadline check.
-        trials, samples = 30, {size: [] for size in BATCH_SIZES}
-        calls = {size: [] for size in BATCH_SIZES}
+        trials, samples = 30, {name: [] for name in timed}
+        calls = {name: [] for name in timed}
         for _ in range(trials):
-            for size, population in populations.items():
+            for name, (run, size) in timed.items():
                 repeats = max(4, 400 // size)
                 start = time.perf_counter()
                 for _ in range(repeats):
                     t0 = time.perf_counter()
-                    solve_sessions_batch(population)
-                    calls[size].append(time.perf_counter() - t0)
-                samples[size].append(
+                    run()
+                    calls[name].append(time.perf_counter() - t0)
+                samples[name].append(
                     (time.perf_counter() - start) / repeats
                 )
         out = {}
-        for size in BATCH_SIZES:
-            per_call = calls[size]
+        for name, (_run, size) in timed.items():
+            per_call = calls[name]
             per_call.sort()
             p99 = per_call[min(len(per_call) - 1, int(0.99 * len(per_call)))]
-            out[size] = {
-                "per_decision_us": 1e6 * min(samples[size]) / size,
+            out[name] = {
+                "per_decision_us": 1e6 * min(samples[name]) / size,
                 "batch_p99_ms": 1e3 * p99,
                 "calls": len(per_call),
             }
@@ -218,6 +255,14 @@ def test_amortized_batch_cost(benchmark):
             f"{base / row['per_decision_us']:>7.2f}x"
         )
 
+    mixed_us = results["mixed"]["per_decision_us"]
+    single_us = results["mixed_single"]["per_decision_us"]
+    mixed_speedup = single_us / mixed_us
+    print(
+        f"mixed anchors, batch {MIXED_BATCH}: {mixed_us:.2f} us/decision; "
+        f"one at a time: {single_us:.2f} us/decision ({mixed_speedup:.2f}x)"
+    )
+
     from repro.cli import _append_perf_entry
 
     speedup_at_32 = base / results[32]["per_decision_us"]
@@ -235,6 +280,12 @@ def test_amortized_batch_cost(benchmark):
             for size in BATCH_SIZES
         },
         "speedup_at_32": round(speedup_at_32, 2),
+        "mixed_anchor": {
+            "batch_size": MIXED_BATCH,
+            "per_decision_us": round(mixed_us, 3),
+            "one_at_a_time_us": round(single_us, 3),
+            "speedup": round(mixed_speedup, 2),
+        },
     })
     print(f"appended amortized curve to {JOURNAL}")
 
@@ -245,4 +296,8 @@ def test_amortized_batch_cost(benchmark):
     assert results[32]["batch_p99_ms"] <= SERVING_DEADLINE * 1e3, (
         f"batch-32 p99 {results[32]['batch_p99_ms']:.3f} ms exceeds the "
         f"{SERVING_DEADLINE * 1e3:.0f} ms serving deadline"
+    )
+    assert mixed_speedup >= REQUIRED_MIXED_SPEEDUP, (
+        f"mixed-anchor batch {MIXED_BATCH} below {REQUIRED_MIXED_SPEEDUP}x "
+        f"over single solves: {mixed_speedup:.2f}x"
     )

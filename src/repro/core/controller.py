@@ -381,8 +381,9 @@ def select_quality_batch(
     in order — same committed rungs and defers, same plan-cache hit/miss
     accounting, same ``last_plan`` side effects, set in request order — but
     the main horizon solves of all cache-missing sessions run through
-    :func:`repro.core.fastpath.solve_sessions_batch` in a few vectorized
-    passes grouped by bundle key.  Only the fast backend batches;
+    :func:`repro.core.fastpath.solve_sessions_batch`: one session-axis pass
+    per (ladder, config, Δt) and prediction shape, whatever each row's
+    previous rung.  Only the fast backend batches;
     reference-backend controllers fall back to the sequential path inline.
     A row whose every plan overflows the buffer is answered in closed form
     before the plan-cache probe and never enqueued, as in
@@ -454,14 +455,16 @@ def select_quality_batch(
                 plan = cache.get(key)
             if plan is None:
                 # Validate before enqueueing so one bad prediction fails
-                # alone rather than poisoning the shared batch call.
-                _pred(omega, cfg.horizon)
+                # alone rather than poisoning the shared batch call.  The
+                # request carries the normalised value, so the batch only
+                # re-checks a float or re-reads the same array.
+                pred = _pred(omega, cfg.horizon)
                 if cache is not None:
                     pending_key_owner[(id(cache), key)] = i
                 pending.append(i)
                 pending_reqs.append(
                     SessionSolveRequest(
-                        omega, float(obs.buffer_level), obs.previous_quality,
+                        pred, float(obs.buffer_level), obs.previous_quality,
                         ladder, cfg, obs.max_buffer, dt=dt,
                         first_cap=first_cap,
                     )

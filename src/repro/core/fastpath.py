@@ -2,19 +2,26 @@
 
 The reference solvers in :mod:`repro.core.solver` walk the candidate tree
 with a Python recursion — clear, but the per-decision cost dominates
-large-scale sweeps.  This module replaces the recursion with three pieces:
+large-scale sweeps.  This module replaces the recursion with four pieces:
 
 * **candidate enumeration caches** — all monotonic rung sequences for a
   given (available levels, horizon, direction) are enumerated once, in the
   exact lexicographic order the reference DFS visits them, and memoised as
   index matrices (:func:`monotone_candidates` / :func:`product_candidates`);
-* **a batch scorer** — everything that does not depend on the live
-  (prediction, buffer) state — candidate matrices, per-candidate distortion
-  values, and the full switching-cost term — is precomputed per
-  (ladder, config, previous rung) into a :class:`_Bundle`, so a decision
-  reduces to ~a dozen vectorized operations over the whole candidate set:
-  one buffer recursion via ``cumsum``, feasibility bounds, and the
-  Equation 2 cost of every candidate at once;
+* **horizon-major candidate bundles** — everything that does not depend on
+  the live (prediction, buffer) state — per-step ``Δt/r`` factors and their
+  prefix sums, distortion values and row sums, and the full switching-cost
+  term — is precomputed per (ladder, config, previous rung) into a
+  :class:`_Bundle` whose per-step arrays are stored ``(K, candidates)``, so
+  a horizon reduction is a few whole-array operations at any candidate
+  count;
+* **two scoring kernels** over those bundles — :func:`_solve_bundle` for
+  one decision (S=1), and the session-axis kernel :func:`_solve_segments`
+  behind :func:`solve_sessions_batch`, which scores many sessions on their
+  own anchors' bundles in one pass.  Both add every per-step term with
+  :func:`_horizon_sum`, left to right, and run each candidate through the
+  same operations in the same order, so a batched plan is bit-identical
+  to the single solve;
 * **a per-session plan cache** (:class:`PlanCache`) keyed by quantized
   (buffer, previous rung, prediction vector) state, consulted by
   :class:`~repro.core.controller.SodaController` before solving.
@@ -130,20 +137,39 @@ def _ladder_arrays(
 # ----------------------------------------------------------------------
 # Per-(ladder, config, anchor) candidate bundles
 # ----------------------------------------------------------------------
+def _horizon_sum(terms: np.ndarray) -> np.ndarray:
+    """``Σ_k terms[k]`` over the leading (horizon) axis, left to right.
+
+    The sum is ``((t₀ + t₁) + t₂) + …``, one whole-array add per step.
+    Every per-step sum of both kernels and of the bundle precompute goes
+    through here, so the bits of an objective are fixed by this code, not
+    by how NumPy happens to order a reduction (DESIGN §8).
+    """
+    total = terms[0].copy()
+    for row in terms[1:]:
+        total += row
+    return total
+
+
 class _Bundle:
     """Everything about a candidate set that the live state cannot change.
 
-    Holds the concatenated candidate matrix (SearchUp rows before
-    SearchDown rows, each block in reference DFS order), per-candidate
-    per-interval ``dt/r`` factors and distortion values, the fully
-    precomputed switching-cost row sums ``Σ_k γ·c(r_k, r_{k-1})``, and the
-    candidate sequences as Python tuples ready to return.
+    Candidates are the SearchUp block before the SearchDown block, each in
+    reference DFS order.  The per-step arrays are horizon-major, shape
+    ``(K, count)``, and are the bundle's only copy: ``gain_base[k]`` holds
+    step k's ``Δt/r`` for every candidate, ``cum_gain_base`` its running
+    sum along the steps, and ``vq`` the distortion values, so a kernel
+    reduces or sums over the horizon with a few whole-array operations at
+    any candidate count.  Per candidate it also keeps the first rung, the
+    distortion row sum ``Σ_k v_k·Δt/r_k`` and the fully precomputed
+    switching-cost row sum ``γ·Σ_k c(r_k, r_{k-1})``, both summed by
+    :func:`_horizon_sum`, and the sequence as a Python tuple ready to
+    return.
     """
 
     __slots__ = (
-        "candidates", "first_rungs", "max_first_rung", "gain_base",
-        "cum_gain_base", "vq", "dist_row_base", "switch_row", "dt_ramp",
-        "count", "sequences",
+        "first_rungs", "max_first_rung", "gain_base", "cum_gain_base", "vq",
+        "dist_row_base", "switch_row", "dt_ramp", "count", "sequences",
     )
 
     def __init__(
@@ -155,30 +181,30 @@ class _Bundle:
         dt: float,
         anchor_v: Optional[float],
     ) -> None:
-        horizon = candidates.shape[1]
-        self.candidates = candidates
-        self.first_rungs = np.ascontiguousarray(candidates[:, 0])
+        count, horizon = candidates.shape
+        steps = np.ascontiguousarray(candidates.T)
+        self.first_rungs = steps[0].copy()
         self.max_first_rung = int(self.first_rungs.max())
-        self.gain_base = dt / rates[candidates]
+        self.gain_base = dt / rates[steps]
         # Prefix sums and distortion row sums let a *constant* prediction —
-        # the common case online — skip the per-call cumsum and one einsum:
-        # with ω_k ≡ ω the trajectory is ω·cumsum(Δt/r) - k·Δt and the
+        # the common case online — skip the per-call cumsum and distortion
+        # sum: with ω_k ≡ ω the trajectory is ω·cumsum(Δt/r) - k·Δt and the
         # distortion term is ω·Σ_k v_k·Δt/r_k.
-        self.cum_gain_base = np.cumsum(self.gain_base, axis=1)
-        self.vq = v[candidates]
-        self.dist_row_base = np.einsum("nk,nk->n", self.vq, self.gain_base)
+        self.cum_gain_base = np.cumsum(self.gain_base, axis=0)
+        self.vq = v[steps]
+        self.dist_row_base = _horizon_sum(self.vq * self.gain_base)
         d = np.empty_like(self.vq)
-        d[:, 1:] = self.vq[:, 1:] - self.vq[:, :-1]
-        d[:, 0] = 0.0 if anchor_v is None else self.vq[:, 0] - anchor_v
+        d[1:] = self.vq[1:] - self.vq[:-1]
+        d[0] = 0.0 if anchor_v is None else self.vq[0] - anchor_v
         switch = d * d
         if cfg.switch_event_cost > 0:
             switch += cfg.switch_event_cost * (np.abs(d) > 1e-12)
         if anchor_v is None:
-            switch[:, 0] = 0.0
-        self.switch_row = cfg.gamma * switch.sum(axis=1)
-        self.dt_ramp = dt * np.arange(1, horizon + 1)
-        self.count = candidates.shape[0]
-        self.sequences = [tuple(int(q) for q in row) for row in candidates]
+            switch[0] = 0.0
+        self.switch_row = cfg.gamma * _horizon_sum(switch)
+        self.dt_ramp = dt * np.arange(1, horizon + 1)[:, None]
+        self.count = count
+        self.sequences = list(map(tuple, candidates.tolist()))
 
 
 @lru_cache(maxsize=4096)
@@ -229,7 +255,9 @@ def _pred(omega, horizon: int):
 
     Mirrors the validation of :func:`repro.core.solver._prepare`, but
     collapses constant vectors to a scalar so the kernel can use the
-    bundle's precomputed prefix sums.
+    bundle's precomputed prefix sums.  A normalised prediction normalises
+    to itself: a float stays the same float and a 1-D vector the same
+    array.
     """
     if type(omega) is float or type(omega) is int:
         # Hot path: plain scalars skip the np.ndim dispatch entirely.
@@ -261,7 +289,17 @@ def _pred(omega, horizon: int):
     w = values[0]
     if all(v == w for v in values):
         return w
-    return arr
+    return arr if arr.ndim == 1 else arr.ravel()
+
+
+@lru_cache(maxsize=64)
+def _buffer_weights(cfg: SodaConfig) -> np.ndarray:
+    """``[β·ε, β]``: the buffer-cost weight of a step above the target
+    x̄ (index 0) and at or below it (index 1), so a kernel reads each
+    step's weight from its ``x ≤ x̄`` test with one ``take``."""
+    weights = np.array([cfg.beta * cfg.epsilon, cfg.beta])
+    weights.setflags(write=False)
+    return weights
 
 
 def _solve_bundle(
@@ -276,11 +314,13 @@ def _solve_bundle(
 ) -> PlanResult:
     """Score every candidate of ``bundle`` for one live state, pick the best.
 
-    ``omega`` is a scalar (constant prediction, precomputed prefix-sum
-    path) or a per-interval vector.  ``argmin`` takes the first occurrence,
-    and rows are ordered exactly as the reference DFS visits sequences
-    (SearchUp block first), so exact ties resolve the same way the
-    recursion resolves them.
+    The S=1 kernel.  ``omega`` is a scalar (constant prediction,
+    precomputed prefix-sum path) or a per-interval vector.  Each
+    candidate's objective is ``((distortion + buffer cost) + switching) +
+    terminal``, with both per-step sums taken by :func:`_horizon_sum`.
+    ``argmin`` takes the first occurrence, and rows are ordered exactly as
+    the reference DFS visits sequences (SearchUp block first), so exact
+    ties resolve the same way the recursion resolves them.
     """
     if isinstance(omega, float):
         # Constant prediction: trajectory and distortion from prefix sums.
@@ -288,19 +328,20 @@ def _solve_bundle(
         x += buffer_level - bundle.dt_ramp                # buffer trajectory
         total = omega * bundle.dist_row_base              # distortion term
     else:
-        gain = omega * bundle.gain_base                   # ω_k·Δt/r_k
-        x = np.cumsum(gain, axis=1)
+        gain = omega[:, None] * bundle.gain_base          # ω_k·Δt/r_k
+        x = np.cumsum(gain, axis=0)
         x += buffer_level - bundle.dt_ramp
-        total = np.einsum("nk,nk->n", bundle.vq, gain)
-    feasible = (x.min(axis=1) >= -_TOL) & (x.max(axis=1) <= max_buffer + _TOL)
+        gain *= bundle.vq
+        total = _horizon_sum(gain)
+    feasible = (x.min(axis=0) >= -_TOL) & (x.max(axis=0) <= max_buffer + _TOL)
 
     dev = target - x
     dev *= dev                                            # (x̄ - x_k)²
-    weight = np.where(x <= target, cfg.beta, cfg.beta * cfg.epsilon)
-    total += np.einsum("nk,nk->n", dev, weight)           # β·b(x) term
+    dev *= _buffer_weights(cfg).take((x <= target).view(np.int8))
+    total += _horizon_sum(dev)                            # β·b(x) term
     total += bundle.switch_row                            # γ·c(·,·) term
     if terminal_weight > 0:
-        t_dev = x[:, -1] - target
+        t_dev = x[-1] - target
         total += (terminal_weight * t_dev) * t_dev
 
     evaluations = bundle.count
@@ -373,7 +414,10 @@ class SessionSolveRequest:
     Mirrors the argument list of :func:`solve_monotonic_fast` — ``omega``
     may be a scalar or a horizon-length vector; ``dt=None`` defaults to the
     ladder's segment duration, exactly as the single-session entry point
-    does.
+    does.  ``omega`` may also be the value :func:`_pred` normalised it to,
+    as :func:`~repro.core.controller.select_quality_batch` stores it: the
+    batch normalises that to the same float or the same array, and a
+    constant prediction then costs only a float check.
     """
 
     omega: Sequence[float] | float
@@ -387,14 +431,15 @@ class SessionSolveRequest:
     terminal_weight: float = 0.0
 
 
-# Cap on elements per (sessions × candidates × horizon) scoring block so a
-# large fleet over a brute-force bundle cannot balloon transient arrays;
-# sessions beyond the cap are solved in successive chunks.
+# Cap on elements per (candidate rows × horizon) scoring pass, summed over
+# the pass's sessions, so a large fleet over a brute-force bundle cannot
+# balloon transient arrays; sessions beyond the cap are scored in
+# successive passes.
 _BATCH_ELEMENT_BUDGET = 2_000_000
 
 
-def _solve_bundle_chunk(
-    bundle: _Bundle,
+def _solve_segments(
+    bundles: Sequence[_Bundle],
     omegas: np.ndarray,
     scalar: bool,
     buffers: np.ndarray,
@@ -404,99 +449,92 @@ def _solve_bundle_chunk(
     caps: Sequence[Optional[int]],
     terminal_weights: np.ndarray,
 ) -> List[PlanResult]:
-    """Score one bundle for S live states in a single vectorized pass.
+    """Score S sessions, each on its own anchor's bundle, in one pass.
 
-    This is :func:`_solve_bundle` with a leading session axis.  Every
-    operation is elementwise, a ``cumsum`` along the horizon axis, or an
-    ``einsum`` contracting only the horizon axis — each session's floats
-    flow through the same operations in the same order as the
-    single-session kernel, so the scores (and therefore the argmin row,
-    taken first-occurrence per session) are bit-identical.
+    The session-axis kernel.  Session ``s``'s candidate block,
+    ``bundles[s]``, is laid end to end with the others along one row
+    axis, so the per-step arrays are ``(K, Σ count)``; its live state
+    (``ω``, buffer, target, buffer cap, first-rung cap, terminal weight)
+    is repeated over its block's rows.  Every row then goes through the
+    operations of :func:`_solve_bundle`, in the same order and on the
+    same operands — elementwise products and sums, exact ``min``/``max``
+    over the steps, :func:`_horizon_sum` — so its score is bit-identical
+    to the S=1 kernel's.  The pick is a first-occurrence argmin within
+    each session's segment: the segment minimum, then the first row of
+    the segment holding it.
     """
-    n_sessions = buffers.shape[0]
+    count_list = [b.count for b in bundles]
+    counts = np.asarray(count_list, dtype=np.intp)
+    starts = np.cumsum(counts) - counts
+    dt_ramp = bundles[0].dt_ramp
     if scalar:
-        # Constant predictions: prefix-sum path, ω broadcast per session.
-        x = omegas[:, None, None] * bundle.cum_gain_base[None, :, :]
-        x += (buffers[:, None] - bundle.dt_ramp[None, :])[:, None, :]
-        total = omegas[:, None] * bundle.dist_row_base[None, :]
+        # Constant predictions: prefix-sum path, ω repeated per row.
+        omega_rows = np.repeat(omegas, counts)
+        x = np.concatenate([b.cum_gain_base for b in bundles], axis=1)
+        x *= omega_rows
+        total = np.concatenate([b.dist_row_base for b in bundles])
+        total *= omega_rows
     else:
-        gain = omegas[:, None, :] * bundle.gain_base[None, :, :]
-        x = np.cumsum(gain, axis=2)
-        x += (buffers[:, None] - bundle.dt_ramp[None, :])[:, None, :]
-        total = np.einsum("nk,snk->sn", bundle.vq, gain)
-    feasible = (x.min(axis=2) >= -_TOL) & (
-        x.max(axis=2) <= max_buffers[:, None] + _TOL
-    )
+        gain = np.concatenate([b.gain_base for b in bundles], axis=1)
+        gain *= np.repeat(omegas.T, counts, axis=1)
+        x = np.cumsum(gain, axis=0)
+        gain *= np.concatenate([b.vq for b in bundles], axis=1)
+        total = _horizon_sum(gain)
+        del gain
+    x += np.repeat(buffers - dt_ramp, counts, axis=1)
+    feasible = x.min(axis=0) >= -_TOL
+    feasible &= x.max(axis=0) <= np.repeat(max_buffers + _TOL, counts)
 
-    dev = targets[:, None, None] - x
+    target_rows = np.repeat(targets, counts)
+    # The S=1 kernel skips the terminal term entirely when the weight is
+    # zero (0·inf² would poison otherwise-feasible rows), so it applies
+    # only to the rows of sessions that carry one.
+    weighted = None
+    if (terminal_weights > 0).any():
+        tw_rows = np.repeat(terminal_weights, counts)
+        weighted = np.flatnonzero(tw_rows > 0)
+        t_dev = x[-1, weighted] - target_rows[weighted]
+        t_term = (tw_rows[weighted] * t_dev) * t_dev
+    below = x <= target_rows
+    dev = np.subtract(target_rows, x, out=x)              # x is spent
     dev *= dev
-    weight = np.where(
-        x <= targets[:, None, None], cfg.beta, cfg.beta * cfg.epsilon
-    )
-    total += np.einsum("snk,snk->sn", dev, weight)
-    total += bundle.switch_row[None, :]
-    # The single-session kernel skips the terminal term entirely when the
-    # weight is zero (0·inf² would poison otherwise-feasible rows), so the
-    # batched kernel must apply it only to the sessions that carry one.
-    tw_rows = np.flatnonzero(terminal_weights > 0)
-    if tw_rows.size:
-        t_dev = x[tw_rows, :, -1] - targets[tw_rows, None]
-        total[tw_rows] += (terminal_weights[tw_rows, None] * t_dev) * t_dev
+    dev *= _buffer_weights(cfg).take(below.view(np.int8))
+    total += _horizon_sum(dev)
+    total += np.concatenate([b.switch_row for b in bundles])
+    if weighted is not None:
+        total[weighted] += t_term
 
-    evaluations = np.full(n_sessions, bundle.count, dtype=np.int64)
-    cap_rows = [
-        j for j, c in enumerate(caps)
-        if c is not None and c < bundle.max_first_rung
+    evaluations = count_list
+    limits = [
+        b.max_first_rung if c is None else min(c, b.max_first_rung)
+        for b, c in zip(bundles, caps)
     ]
-    if cap_rows:
-        cap_vals = np.asarray([caps[j] for j in cap_rows], dtype=np.int64)
-        allowed = bundle.first_rungs[None, :] <= cap_vals[:, None]
-        evaluations[cap_rows] = np.count_nonzero(allowed, axis=1)
-        feasible[cap_rows] &= allowed
-    total = np.where(feasible, total, math.inf)
+    if any(lim < b.max_first_rung for lim, b in zip(limits, bundles)):
+        allowed = np.concatenate([b.first_rungs for b in bundles])
+        allowed = allowed <= np.repeat(limits, counts)
+        evaluations = np.add.reduceat(allowed, starts, dtype=np.intp).tolist()
+        feasible &= allowed
+    np.copyto(total, math.inf, where=~feasible)
 
-    best = np.argmin(total, axis=1)
+    # First-occurrence argmin per segment: the first row at or after each
+    # segment's start that holds the segment's minimum.  A segment whose
+    # minimum is not finite (all rows infeasible, or a NaN score, which
+    # the S=1 argmin would pick) has no plan, whatever row is picked.
+    seg_min = np.minimum.reduceat(total, starts)
+    hits = np.flatnonzero(total == np.repeat(seg_min, counts))
+    if hits.size:
+        best = hits[np.minimum(np.searchsorted(hits, starts), hits.size - 1)]
+    else:
+        best = starts
+    objectives = total[best].tolist()
+    best_in_block = (best - starts).tolist()
     plans: List[PlanResult] = []
-    for j in range(n_sessions):
-        objective = float(total[j, best[j]])
-        evals = int(evaluations[j])
-        if not math.isfinite(objective):
-            plans.append(PlanResult(None, math.inf, (), evals))
+    for s, finite in enumerate(np.isfinite(seg_min).tolist()):
+        if not finite:
+            plans.append(PlanResult(None, math.inf, (), evaluations[s]))
             continue
-        seq = bundle.sequences[int(best[j])]
-        plans.append(PlanResult(seq[0], objective, seq, evals))
-    return plans
-
-
-def _solve_bundle_many(
-    bundle: _Bundle,
-    omegas: np.ndarray,
-    scalar: bool,
-    buffers: np.ndarray,
-    cfg: SodaConfig,
-    targets: np.ndarray,
-    max_buffers: np.ndarray,
-    caps: Sequence[Optional[int]],
-    terminal_weights: np.ndarray,
-) -> List[PlanResult]:
-    """Chunk the session axis so transient arrays stay bounded."""
-    n_sessions = buffers.shape[0]
-    per_session = bundle.count * bundle.candidates.shape[1]
-    chunk = max(1, _BATCH_ELEMENT_BUDGET // max(1, per_session))
-    if chunk >= n_sessions:
-        return _solve_bundle_chunk(
-            bundle, omegas, scalar, buffers, cfg, targets, max_buffers,
-            caps, terminal_weights,
-        )
-    plans: List[PlanResult] = []
-    for start in range(0, n_sessions, chunk):
-        sl = slice(start, start + chunk)
-        plans.extend(
-            _solve_bundle_chunk(
-                bundle, omegas[sl], scalar, buffers[sl], cfg, targets[sl],
-                max_buffers[sl], caps[sl], terminal_weights[sl],
-            )
-        )
+        seq = bundles[s].sequences[best_in_block[s]]
+        plans.append(PlanResult(seq[0], objectives[s], seq, evaluations[s]))
     return plans
 
 
@@ -505,17 +543,19 @@ def solve_sessions_batch(
 ) -> List[PlanResult]:
     """Solve many sessions' decisions in a few vectorized passes.
 
-    Requests are grouped by bundle key — ``(ladder, config, previous
-    rung, Δt)`` plus the config's backend choice — so a heterogeneous
-    fleet still batches: each distinct bundle is scored once for all of
-    its sessions.  Ladder and config are compared by identity (the
-    service shares one of each across sessions); equal-but-distinct
-    objects fall into separate, equally correct groups.  Within a group, sessions whose prediction
-    normalises to a scalar (constant ω) and sessions with a genuine
-    per-interval vector are scored separately, because the single-session
-    kernel uses different (bit-inequivalent) arithmetic for the two cases.
-    Per-session ``target``/``max_buffer``/``first_cap``/``terminal_weight``
-    vary freely inside a group.
+    Requests are grouped by ``(ladder, config, Δt)`` and by whether the
+    prediction normalises to a scalar (constant ω) or a genuine
+    per-interval vector, because the single-session kernel uses different
+    (bit-inequivalent) arithmetic for the two.  The previous rung is not
+    part of the key: each group is scored by one call of the session-axis
+    kernel, :func:`_solve_segments`, which lays every session's own
+    anchor bundle end to end (brute-force bundles when
+    ``cfg.use_brute_force``).  Ladder and config are compared by identity
+    (the service shares one of each across sessions); equal-but-distinct
+    objects fall into separate, equally correct groups.  Per-session
+    anchor, ``target``/``max_buffer``/``first_cap``/``terminal_weight``
+    vary freely inside a group.  A group whose rows × horizon exceed
+    ``_BATCH_ELEMENT_BUDGET`` is scored in successive passes.
 
     Results come back in request order and each equals, bit for bit, what
     :func:`solve_monotonic_fast` (or the brute variant, per
@@ -537,48 +577,59 @@ def solve_sessions_batch(
         if dt is None:
             dt = req.ladder.segment_duration
         pred = _pred(req.omega, req.cfg.horizon)
-        key = (id(req.ladder), id(req.cfg), req.prev_quality, dt)
+        scalar = isinstance(pred, float)
+        key = (id(req.ladder), id(req.cfg), dt, scalar)
         entry = groups.get(key)
         if entry is None:
-            groups[key] = entry = (req, dt, [])
-        entry[2].append((i, pred))
-    for first_req, dt, members in groups.values():
-        ladder, cfg = first_req.ladder, first_req.cfg
-        prev_quality = first_req.prev_quality
+            groups[key] = entry = (req, dt, scalar, [], [])
+        entry[3].append(i)
+        entry[4].append(pred)
+    for first_req, dt, scalar, idx, preds in groups.values():
+        cfg = first_req.cfg
+        bitrates = tuple(first_req.ladder.bitrates)
         bundle_fn = _brute_bundle if cfg.use_brute_force else _monotone_bundle
-        bundle = bundle_fn(tuple(ladder.bitrates), cfg, prev_quality, dt)
-        scalars = [(i, p) for i, p in members if isinstance(p, float)]
-        vectors = [(i, p) for i, p in members if not isinstance(p, float)]
-        target_buffer = cfg.target_buffer
-        for subset, is_scalar in ((scalars, True), (vectors, False)):
-            if not subset:
-                continue
-            idx = [i for i, _ in subset]
-            omegas = np.asarray([p for _, p in subset], dtype=float)
-            buf_list, mb_list, tw_list, caps = [], [], [], []
-            for i in idx:
-                r = requests[i]
-                buf_list.append(r.buffer_level)
-                mb_list.append(r.max_buffer)
-                tw_list.append(r.terminal_weight)
-                caps.append(r.first_cap)
-            buffers = np.asarray(buf_list, dtype=float)
-            max_buffers = np.asarray(mb_list, dtype=float)
-            terminal_weights = np.asarray(tw_list, dtype=float)
-            if target_buffer is None:
-                # cfg.resolve_target's 0.8·max_buffer branch, vectorized
-                # (scalar × float64 array is the identical IEEE multiply)
-                targets = 0.8 * max_buffers
-            else:
-                targets = np.asarray(
-                    [cfg.resolve_target(m) for m in mb_list], dtype=float
-                )
-            plans = _solve_bundle_many(
-                bundle, omegas, is_scalar, buffers, cfg, targets,
-                max_buffers, caps, terminal_weights,
+        by_anchor: Dict[Optional[int], _Bundle] = {}
+        bundles, buf_list, mb_list, tw_list, caps = [], [], [], [], []
+        for i in idx:
+            r = requests[i]
+            bundle = by_anchor.get(r.prev_quality)
+            if bundle is None:
+                bundle = bundle_fn(bitrates, cfg, r.prev_quality, dt)
+                by_anchor[r.prev_quality] = bundle
+            bundles.append(bundle)
+            buf_list.append(r.buffer_level)
+            mb_list.append(r.max_buffer)
+            tw_list.append(r.terminal_weight)
+            caps.append(r.first_cap)
+        omegas = np.asarray(preds, dtype=float)
+        buffers = np.asarray(buf_list, dtype=float)
+        max_buffers = np.asarray(mb_list, dtype=float)
+        terminal_weights = np.asarray(tw_list, dtype=float)
+        if cfg.target_buffer is None:
+            # cfg.resolve_target's 0.8·max_buffer branch, vectorized
+            # (scalar × float64 array is the identical IEEE multiply)
+            targets = 0.8 * max_buffers
+        else:
+            targets = np.asarray(
+                [cfg.resolve_target(m) for m in mb_list], dtype=float
             )
-            for i, plan in zip(idx, plans):
+        # Successive passes of whole sessions, each within the budget.
+        row_budget = max(1, _BATCH_ELEMENT_BUDGET // cfg.horizon)
+        lo = 0
+        while lo < len(idx):
+            hi, rows = lo + 1, bundles[lo].count
+            while hi < len(idx) and rows + bundles[hi].count <= row_budget:
+                rows += bundles[hi].count
+                hi += 1
+            sl = slice(lo, hi)
+            plans = _solve_segments(
+                bundles[sl], omegas[sl], scalar, buffers[sl], cfg,
+                targets[sl], max_buffers[sl], caps[sl],
+                terminal_weights[sl],
+            )
+            for i, plan in zip(idx[sl], plans):
                 results[i] = plan
+            lo = hi
     return results  # type: ignore[return-value]
 
 

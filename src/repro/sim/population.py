@@ -589,8 +589,8 @@ class SolverBackend:
     first-step caps first; a row whose every plan overflows the buffer
     takes the closed-form answer with no solve; the rest of the active
     population goes through
-    :func:`repro.core.fastpath.solve_sessions_batch` — one vectorized
-    pass per (prev-rung) bundle — with the caps in the solve, and
+    :func:`repro.core.fastpath.solve_sessions_batch` — one session-axis
+    pass over every previous rung — with the caps in the solve, and
     ``SodaController._finalize`` adds the horizon-1 retry and the defer
     and top-rung fallbacks.  A defer answers ``-1``, as
     :class:`TableBackend` does.  Every decision is what

@@ -21,6 +21,7 @@ rows where a vectorized kernel is tempted to diverge (0·inf² poisoning,
 empty candidate masks, argmin over all-inf rows).
 """
 
+import copy
 import math
 import random
 
@@ -29,14 +30,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.fastpath as fastpath
 from repro.core.controller import SodaController, select_quality_batch
 from repro.core.fastpath import (
     SessionSolveRequest,
+    _monotone_bundle,
+    _solve_bundle,
+    monotone_candidate_count,
     solve_brute_force_fast,
     solve_monotonic_fast,
     solve_sessions_batch,
 )
 from repro.core.objective import SodaConfig
+from repro.core.solver import _TOL
 from repro.prediction.base import ThroughputSample
 from repro.service import DecisionService
 from repro.sim.player import PlayerObservation
@@ -308,6 +314,265 @@ class TestKernelDifferential:
                 )
             )
         _check_batch_matches_singles(requests)
+
+
+# ----------------------------------------------------------------------
+_YT = _LADDERS[3]
+_YT_ANCHORS = [None] + list(range(_YT.levels))
+
+
+def _count_kernel_calls(monkeypatch):
+    """Wrap the session-axis kernel; the list gets each call's session
+    count."""
+    calls = []
+    kernel = fastpath._solve_segments
+
+    def counted(bundles, *args):
+        calls.append(len(bundles))
+        return kernel(bundles, *args)
+
+    monkeypatch.setattr(fastpath, "_solve_segments", counted)
+    return calls
+
+
+def _yt_request(rng, prev, cfg, vector=False, **kw):
+    horizon = cfg.horizon
+    omega = (
+        np.array([rng.uniform(0.5, 40.0) for _ in range(horizon)])
+        if vector
+        else float(rng.uniform(0.5, 40.0))
+    )
+    return SessionSolveRequest(
+        omega, rng.uniform(0.0, 20.0), prev, _YT, cfg, 20.0, **kw
+    )
+
+
+class TestOnePassAcrossAnchors:
+    """Every previous rung of one (ladder, config, Δt, prediction shape)
+    group is scored in one session-axis pass, bit for bit as alone."""
+
+    def test_every_anchor_in_one_kernel_call(self, monkeypatch):
+        rng = random.Random(26)
+        cfg = SodaConfig(horizon=5)
+        top = _YT.levels - 1
+        requests = [
+            _yt_request(
+                rng, prev, cfg,
+                # caps below, at and above every anchor's top first rung
+                first_cap=rng.choice([None, 0, top - 1, top, top + 1]),
+                terminal_weight=rng.choice([0.0, 0.0, 0.5]),
+            )
+            for _ in range(4)
+            for prev in _YT_ANCHORS
+        ]
+        # Sessions with no feasible plan between feasible neighbours: every
+        # download overflows, and every plan underflows.
+        feasible = SessionSolveRequest(8.0, 10.0, 2, _YT, cfg, 20.0)
+        requests[5:5] = [
+            feasible,
+            SessionSolveRequest(500.0, 19.9, 3, _YT, cfg, 20.0),
+            feasible,
+            SessionSolveRequest(0.01, 0.2, None, _YT, cfg, 20.0),
+            feasible,
+        ]
+        calls = _count_kernel_calls(monkeypatch)
+        _check_batch_matches_singles(requests)
+        assert calls == [len(requests)]
+        plans = solve_sessions_batch(requests)
+        assert [p.quality is None for p in plans[5:10]] == [
+            False, True, False, True, False,
+        ]
+
+    def test_first_caps_around_the_top_first_rung(self, monkeypatch):
+        rng = random.Random(3)
+        cfg = SodaConfig(horizon=5)
+        top = _YT.levels - 1
+        requests = [
+            _yt_request(rng, prev, cfg, first_cap=cap)
+            for prev in _YT_ANCHORS
+            for cap in (top - 1, top, top + 1)
+        ]
+        calls = _count_kernel_calls(monkeypatch)
+        _check_batch_matches_singles(requests)
+        assert calls == [len(requests)]
+        plans = solve_sessions_batch(requests)
+        for k, prev in enumerate(_YT_ANCHORS):
+            below, at, above = (p.evaluations for p in plans[3 * k:3 * k + 3])
+            count = monotone_candidate_count(_YT.levels, 5, prev)
+            assert below < count and at == above == count
+
+    def test_constant_plan_tie_takes_the_up_copy(self):
+        """The constant plan is the first row of both the up and the down
+        block; with a prohibitive switching cost it is the optimum, and the
+        first-occurrence argmin of each segment must pick the up copy."""
+        cfg = SodaConfig(horizon=5, gamma=1e4)
+        dt = _YT.segment_duration
+        target = cfg.resolve_target(20.0)
+        bitrates = tuple(_YT.bitrates)
+        tagged, omegas = [], []
+        for prev in _YT_ANCHORS:
+            bundle = copy.copy(_monotone_bundle(bitrates, cfg, prev, dt))
+            # tag each row with its index, so the pick shows which copy won
+            bundle.sequences = [(row,) for row in range(bundle.count)]
+            tagged.append(bundle)
+            omegas.append(_YT.bitrates[0 if prev is None else prev])
+            if prev is not None:
+                up = math.comb(_YT.levels - prev + cfg.horizon - 1, cfg.horizon)
+                original = _monotone_bundle(bitrates, cfg, prev, dt).sequences
+                assert original[0] == original[up] == (prev,) * cfg.horizon
+        s = len(tagged)
+        plans = fastpath._solve_segments(
+            tagged, np.asarray(omegas), True, np.full(s, target), cfg,
+            np.full(s, target), np.full(s, 20.0), [None] * s, np.zeros(s),
+        )
+        for bundle, omega, plan in zip(tagged[1:], omegas[1:], plans[1:]):
+            assert plan.quality == 0
+            single = _solve_bundle(
+                bundle, omega, target, cfg, target, 20.0, None, 0.0
+            )
+            assert single == plan
+
+    def test_scalar_and_vector_predictions_in_one_call(self, monkeypatch):
+        rng = random.Random(11)
+        cfg = SodaConfig(horizon=5)
+        requests = [
+            _yt_request(rng, prev, cfg, vector=(i % 2 == 1))
+            for i, prev in enumerate(_YT_ANCHORS * 3)
+        ]
+        calls = _count_kernel_calls(monkeypatch)
+        _check_batch_matches_singles(requests)
+        assert sorted(calls) == [10, 11]  # one pass per prediction shape
+
+    def test_brute_force_k1_and_one_rung_ladder(self, monkeypatch):
+        rng = random.Random(12)
+        brute = SodaConfig(horizon=3, use_brute_force=True)
+        k1 = SodaConfig(horizon=1)
+        k5 = SodaConfig(horizon=5)
+        single = _LADDERS[2]
+        requests = []
+        for prev in _YT_ANCHORS:
+            requests.append(_yt_request(rng, prev, brute, first_cap=3))
+            requests.append(_yt_request(rng, prev, k1))
+        for prev in (None, 0, None, 0):
+            requests.append(SessionSolveRequest(
+                float(rng.uniform(0.5, 8.0)), rng.uniform(0.0, 20.0), prev,
+                single, k5, 20.0,
+            ))
+        calls = _count_kernel_calls(monkeypatch)
+        _check_batch_matches_singles(requests)
+        assert sorted(calls) == [4, 7, 7]
+
+    def test_budget_split_group(self, monkeypatch):
+        """A group past the element budget runs in several passes of whole
+        sessions, and the answers do not change."""
+        rng = random.Random(13)
+        cfg = SodaConfig(horizon=5)
+        requests = [
+            _yt_request(rng, prev, cfg, first_cap=rng.choice([None, 2]))
+            for prev in _YT_ANCHORS * 4
+        ]
+        monkeypatch.setattr("repro.core.fastpath._BATCH_ELEMENT_BUDGET", 3000)
+        calls = _count_kernel_calls(monkeypatch)
+        _check_batch_matches_singles(requests)
+        assert len(calls) > 1 and sum(calls) == len(requests)
+
+
+# ----------------------------------------------------------------------
+def _oracle(bundle, omega, buffer_level, cfg, target, max_buffer, dt,
+            first_cap, terminal_weight):
+    """Score every candidate of ``bundle`` in plain Python floats.
+
+    The per-step terms are summed in the order DESIGN §8 states: the
+    trajectory and each horizon sum left to right, then ``((distortion +
+    buffer cost) + switching) + terminal``.  The bundle's precomputed
+    prefix sums, ``dist_row_base`` and ``switch_row`` are taken as they
+    are.  Returns ``(objective, sequence)`` of the first minimum over the
+    feasible candidates, or ``(inf, ())``.
+    """
+    horizon = bundle.gain_base.shape[0]
+    gain, cum, vq = (
+        bundle.gain_base.tolist(), bundle.cum_gain_base.tolist(),
+        bundle.vq.tolist(),
+    )
+    dist_row, switch_row = bundle.dist_row_base.tolist(), bundle.switch_row.tolist()
+    first_rungs = bundle.first_rungs.tolist()
+    scalar = isinstance(omega, float)
+    best, best_objective = None, math.inf
+    for c in range(bundle.count):
+        if first_cap is not None and first_rungs[c] > first_cap:
+            continue
+        xs = []
+        if scalar:
+            for k in range(horizon):
+                xs.append(omega * cum[k][c] + (buffer_level - dt * (k + 1)))
+            distortion = omega * dist_row[c]
+        else:
+            for k in range(horizon):
+                g = float(omega[k]) * gain[k][c]
+                run = g if k == 0 else run + g
+                xs.append(run + (buffer_level - dt * (k + 1)))
+                p = vq[k][c] * g
+                distortion = p if k == 0 else distortion + p
+        if not (min(xs) >= -_TOL and max(xs) <= max_buffer + _TOL):
+            continue
+        for k, x in enumerate(xs):
+            d = target - x
+            weight = cfg.beta if x <= target else cfg.beta * cfg.epsilon
+            term = (d * d) * weight
+            buffer_cost = term if k == 0 else buffer_cost + term
+        total = distortion + buffer_cost
+        total = total + switch_row[c]
+        if terminal_weight > 0:
+            t_dev = xs[-1] - target
+            total = total + (terminal_weight * t_dev) * t_dev
+        if total < best_objective:
+            best, best_objective = c, total
+    if best is None:
+        return math.inf, ()
+    return best_objective, bundle.sequences[best]
+
+
+class TestSummationOrder:
+    """The bits of an objective belong to the code: a plain-Python oracle
+    summing in DESIGN §8's stated order equals both kernels exactly."""
+
+    @pytest.mark.parametrize("horizon", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_oracle_equals_both_kernels(self, horizon, vector):
+        rng = random.Random(1000 * horizon + vector)
+        cfg = SodaConfig(horizon=horizon, switch_event_cost=0.08)
+        dt = _YT.segment_duration
+        bitrates = tuple(_YT.bitrates)
+        requests, bundles = [], []
+        for prev in _YT_ANCHORS * 4:
+            req = _yt_request(
+                rng, prev, cfg, vector=vector,
+                first_cap=rng.choice([None, 1, 3]),
+                terminal_weight=rng.choice([0.0, 0.5]),
+            )
+            requests.append(req)
+            bundles.append(_monotone_bundle(bitrates, cfg, prev, dt))
+        batch = solve_sessions_batch(requests)
+        solved = 0
+        for req, bundle, got in zip(requests, bundles, batch):
+            pred = fastpath._pred(req.omega, horizon)
+            target = cfg.resolve_target(req.max_buffer)
+            objective, sequence = _oracle(
+                bundle, pred, req.buffer_level, cfg, target, req.max_buffer,
+                dt, req.first_cap, req.terminal_weight,
+            )
+            single = _solve_bundle(
+                bundle, pred, req.buffer_level, cfg, target, req.max_buffer,
+                req.first_cap, req.terminal_weight,
+            )
+            for plan in (single, got):
+                assert plan.sequence == sequence
+                if math.isinf(objective):
+                    assert math.isinf(plan.objective)
+                else:
+                    assert plan.objective == objective
+            solved += sequence != ()
+        assert solved >= len(requests) // 2
 
 
 # ----------------------------------------------------------------------
