@@ -94,6 +94,32 @@ def _one_step(cfg: SodaConfig) -> SodaConfig:
     return cfg.with_(horizon=1)
 
 
+#: a throughput forecast: one float for a constant forecast, or a
+#: per-interval vector (DESIGN §8)
+Prediction = Union[float, np.ndarray]
+
+
+def _first(omega: Prediction) -> float:
+    """ω₀ of a prediction, as a Python float."""
+    return omega if isinstance(omega, float) else float(omega[0])
+
+
+def _key_prediction(omega: Prediction, horizon: int):
+    """The prediction :meth:`PlanCache.key` is handed for a ``horizon``-step
+    solve: a float repeated ``horizon`` times, so its key is the key of
+    the equal vector and a one-step key stays one entry long."""
+    return (omega,) * horizon if isinstance(omega, float) else omega
+
+
+def _fallback(obs: PlayerObservation) -> float:
+    """The forecast that replaces a non-positive one: the last measured
+    throughput if positive, else the lowest rung."""
+    fallback = obs.last_throughput
+    if fallback is None or fallback <= 0:
+        fallback = obs.ladder.min_bitrate
+    return fallback
+
+
 class SodaController(AbrController):
     """Smoothness-optimized dynamic adaptive controller.
 
@@ -160,7 +186,7 @@ class SodaController(AbrController):
         # predictors recover slowly after an outage, which would pin the cap
         # below the ladder for many segments; the last measured sample lifts
         # it as soon as the network actually recovers.
-        cap_tput = float(omega[0])
+        cap_tput = _first(omega)
         if obs.last_throughput is not None:
             cap_tput = max(cap_tput, obs.last_throughput)
         return self._select(
@@ -187,15 +213,15 @@ class SodaController(AbrController):
         situations directly rather than running sessions.  Applies exactly
         the same fallback rules as :meth:`select_quality`.
         """
-        omega = np.full(self.config.horizon, max(float(throughput), 0.0))
+        omega = max(float(throughput), 0.0)
         return self._select(
-            omega, buffer_level, prev_quality, ladder, max_buffer, omega[0]
+            omega, buffer_level, prev_quality, ladder, max_buffer, omega
         )
 
     # ------------------------------------------------------------------
     def _select(
         self,
-        omega: np.ndarray,
+        omega: Prediction,
         buffer_level: float,
         prev_quality: Optional[int],
         ladder,
@@ -225,9 +251,9 @@ class SodaController(AbrController):
     def _skips_solve(
         self, omega, buffer_level: float, ladder, max_buffer: float
     ) -> bool:
-        """:func:`_all_overflow` for a prediction vector, which it validates
-        exactly as the solve it skips would, so a bad one still raises."""
-        if not _all_overflow(float(omega[0]), buffer_level, ladder, max_buffer):
+        """:func:`_all_overflow` for a prediction, which it validates exactly
+        as the solve it skips would, so a bad vector still raises."""
+        if not _all_overflow(_first(omega), buffer_level, ladder, max_buffer):
             return False
         _pred(omega, self.config.horizon)
         return True
@@ -235,7 +261,7 @@ class SodaController(AbrController):
     def _finalize(
         self,
         plan: PlanResult,
-        omega: np.ndarray,
+        omega: Prediction,
         buffer_level: float,
         prev_quality: Optional[int],
         ladder,
@@ -245,9 +271,13 @@ class SodaController(AbrController):
         """Fallback rules turning a solved plan into a committed rung.
 
         Split out of :meth:`_select` so callers that solve elsewhere —
-        :func:`select_quality_batch` and the FastMPC-style
-        :class:`~repro.core.lookup.DecisionTable` build — apply
-        byte-identical post-processing to each plan.
+        :func:`select_quality_batch`, the FastMPC-style
+        :class:`~repro.core.lookup.DecisionTable` build and the population
+        ``SolverBackend`` — apply byte-identical post-processing to each
+        plan.  ``omega`` is the prediction the plan was solved for: a float
+        for a constant forecast, which the horizon-1 retry solves as it is,
+        or a vector, whose first entry the retry takes.  Both fallback
+        rules read ω₀ as a Python float, the same IEEE value either way.
         """
         cfg = self.config
         dt = ladder.segment_duration
@@ -256,11 +286,13 @@ class SodaController(AbrController):
             # drop makes future underflow unavoidable); degrade gracefully to
             # a one-step look-ahead before applying the hard fallbacks.
             plan = self._solve(
-                omega[:1], buffer_level, prev_quality, ladder, max_buffer,
+                omega if isinstance(omega, float) else omega[:1],
+                buffer_level, prev_quality, ladder, max_buffer,
                 _one_step(cfg), dt, first_cap,
             )
         self.last_plan = plan
         target = cfg.resolve_target(max_buffer)
+        omega0 = _first(omega)
 
         if plan.quality is not None:
             if (
@@ -275,7 +307,7 @@ class SodaController(AbrController):
                 # beat, let the buffer drain, and keep the bitrate smooth.
                 x1_hold = (
                     buffer_level
-                    + omega[0] * dt / ladder.bitrate(prev_quality)
+                    + omega0 * dt / ladder.bitrate(prev_quality)
                     - dt
                 )
                 if x1_hold > max_buffer:
@@ -286,7 +318,7 @@ class SodaController(AbrController):
         # (throughput far above the ladder; ``_select`` answers most of these
         # without solving), or the network is too slow for any plan: take
         # the lowest rung and accept the buffer drain.
-        x1_fastest = buffer_level + omega[0] * dt / ladder.max_bitrate - dt
+        x1_fastest = buffer_level + omega0 * dt / ladder.max_bitrate - dt
         if x1_fastest > max_buffer:
             return _overflow_rung(buffer_level, target, first_cap, ladder)
         return 0
@@ -320,7 +352,7 @@ class SodaController(AbrController):
 
     def _solve(
         self,
-        omega: np.ndarray,
+        omega: Prediction,
         buffer_level: float,
         prev_quality: Optional[int],
         ladder,
@@ -333,8 +365,8 @@ class SodaController(AbrController):
         key = None
         if cache is not None:
             key = cache.key(
-                omega, buffer_level, prev_quality, ladder, max_buffer, dt,
-                first_cap,
+                _key_prediction(omega, cfg.horizon), buffer_level,
+                prev_quality, ladder, max_buffer, dt, first_cap,
             )
             hit = cache.get(key)
             if hit is not None:
@@ -354,18 +386,35 @@ class SodaController(AbrController):
             cache.put(key, plan)
         return plan
 
-    def _predict_vector(self, obs: PlayerObservation, horizon: int) -> np.ndarray:
-        """Per-interval predictions with safe cold-start fallbacks."""
+    def _predict_vector(self, obs: PlayerObservation, horizon: int) -> Prediction:
+        """The forecast for the next ``horizon`` intervals, with safe
+        cold-start fallbacks.
+
+        A predictor whose class forecasts a constant (it inherits
+        :meth:`ThroughputPredictor.predict`, see ``_constant_forecast``)
+        is asked for :meth:`~ThroughputPredictor.predict_scalar` alone, and
+        the forecast comes back as one Python float: the value the base
+        ``predict`` would have repeated K times.  Any other predictor's
+        ``predict`` vector comes back as a float64 array.  Both forms take
+        the same fallback when the forecast is not positive (NaN is kept,
+        as ``np.max`` keeps it): the last measured throughput if positive,
+        else the lowest rung.
+        """
+        predictor = self.predictor
+        if predictor is not None and getattr(
+            predictor, "_constant_forecast", False
+        ):
+            omega = max(predictor.predict_scalar(obs.wall_time), 0.0)
+            if omega <= 0.0:
+                return float(_fallback(obs))
+            return float(omega)
         omega = None
-        if self.predictor is not None:
-            omega = self.predictor.predict(
+        if predictor is not None:
+            omega = predictor.predict(
                 obs.wall_time, horizon, obs.ladder.segment_duration
             )
         if omega is None or float(np.max(omega)) <= 0.0:
-            fallback = obs.last_throughput
-            if fallback is None or fallback <= 0:
-                fallback = obs.ladder.min_bitrate
-            omega = np.full(horizon, fallback)
+            omega = np.full(horizon, _fallback(obs))
         return np.asarray(omega, dtype=float)
 
 
@@ -391,6 +440,12 @@ def select_quality_batch(
     inside ``_finalize`` stays sequential (it reuses the untouched
     single-session code, so parity is by construction); it is not rare —
     on perfbench's sweep about one decision in six still takes it.
+
+    Each row carries its prediction in the form
+    :meth:`SodaController._predict_vector` gives it: a constant forecast
+    stays one float through the caps, the all-overflow test, the
+    plan-cache key (as a K-tuple), the solve request and ``_finalize``,
+    exactly as on the sequential path.
 
     Faults are isolated per session: an exception raised while deciding for
     one pair (invalid prediction, corrupt observation, a raising solver) is
@@ -419,7 +474,7 @@ def select_quality_batch(
         try:
             cfg = ctrl.config
             omega = ctrl._predict_vector(obs, cfg.horizon)
-            cap_tput = float(omega[0])
+            cap_tput = _first(omega)
             if obs.last_throughput is not None:
                 cap_tput = max(cap_tput, obs.last_throughput)
             if cfg.solver_backend != "fast":
@@ -445,8 +500,9 @@ def select_quality_batch(
             plan = None
             if cache is not None:
                 key = cache.key(
-                    omega, obs.buffer_level, obs.previous_quality, ladder,
-                    obs.max_buffer, dt, first_cap,
+                    _key_prediction(omega, cfg.horizon), obs.buffer_level,
+                    obs.previous_quality, ladder, obs.max_buffer, dt,
+                    first_cap,
                 )
                 if (id(cache), key) in pending_key_owner:
                     dup[i] = True
@@ -457,7 +513,8 @@ def select_quality_batch(
                 # Validate before enqueueing so one bad prediction fails
                 # alone rather than poisoning the shared batch call.  The
                 # request carries the normalised value, so the batch only
-                # re-checks a float or re-reads the same array.
+                # re-checks a float or re-reads the same array; a constant
+                # forecast is that float from the predictor on.
                 pred = _pred(omega, cfg.horizon)
                 if cache is not None:
                     pending_key_owner[(id(cache), key)] = i

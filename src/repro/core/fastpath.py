@@ -691,6 +691,14 @@ class PlanCache:
         dt: float,
         first_cap: Optional[int],
     ) -> tuple:
+        """The key of one decision state.
+
+        ``omega`` is the prediction as long as the solve's horizon: a
+        K-vector, or for a constant forecast the float repeated K times,
+        ``(ω,) * K``, whose key is the equal vector's.  A bare float keys
+        as a one-step prediction, the horizon-1 retry's, so a K-step plan
+        and the retry's plan of one state never share a key.
+        """
         qb = self.buffer_quantum
         qt = self.tput_quantum
         # Non-finite components (corrupted throughput samples under fault

@@ -16,9 +16,11 @@ on-the-fly solve.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import glob
 import json
+import math
 import os
 import shutil
 import struct
@@ -111,8 +113,10 @@ class DecisionTable:
         lo, hi = throughput_range
         if not 0 < lo < hi:
             raise ValueError("need 0 < throughput lo < hi")
-        self._tput_grid = np.geomspace(lo, hi, throughput_points)
-        self._buffer_grid = np.linspace(0.0, max_buffer, buffer_points)
+        self._set_grids(
+            np.geomspace(lo, hi, throughput_points),
+            np.linspace(0.0, max_buffer, buffer_points),
+        )
         # previous rung axis: index 0 encodes "no previous rung".
         self._table = np.full(
             (throughput_points, buffer_points, ladder.levels + 1),
@@ -120,6 +124,18 @@ class DecisionTable:
             dtype=np.int8,
         )
         self.stats = self._build()
+
+    def _set_grids(self, tput_grid: np.ndarray, buffer_grid: np.ndarray) -> None:
+        """Install the two axes and what every lookup reads from them,
+        computed once per table: the throughput axis in log space, as an
+        array for :meth:`lookup_batch` and as Python lists, with the
+        buffer axis, for the one-row :meth:`lookup`."""
+        self._tput_grid = tput_grid
+        self._buffer_grid = buffer_grid
+        self._log_tput_grid = np.log(tput_grid)
+        self._log_tput_list = self._log_tput_grid.tolist()
+        self._buffer_list = buffer_grid.tolist()
+        self._tput_floor = float(tput_grid[0])
 
     # ------------------------------------------------------------------
     def _build(self) -> TableStats:
@@ -130,9 +146,9 @@ class DecisionTable:
         previous rungs; where every plan overflows, the whole previous-rung
         row takes the closed-form answer.  Every other cell runs the
         backend's single-session solver on the scalar prediction and the
-        same ``SodaController._finalize`` the online path uses, keeping the
-        table cell-for-cell identical to the per-cell ``decide`` loop on
-        either backend.
+        same ``SodaController._finalize`` the online path uses, handed the
+        same float, keeping the table cell-for-cell identical to the
+        per-cell ``decide`` loop on either backend.
         """
         start = time.perf_counter()
         cfg = self.config
@@ -140,9 +156,8 @@ class DecisionTable:
         controller = SodaController(config=cfg)
         solve = _SOLVERS[(cfg.solver_backend, cfg.use_brute_force)]
         target = cfg.resolve_target(max_buffer)
-        for ti, tput in enumerate(self._tput_grid):
-            omega = np.full(cfg.horizon, max(float(tput), 0.0))
-            pred = float(omega[0])
+        for ti, tput in enumerate(self._tput_grid.tolist()):
+            pred = max(tput, 0.0)
             for bi, buf in enumerate(self._buffer_grid.tolist()):
                 cap = controller._first_step_cap(
                     pred, buf, max_buffer, ladder, cfg
@@ -160,7 +175,7 @@ class DecisionTable:
                         first_cap=cap,
                     )
                     decision = controller._finalize(
-                        plan, omega, buf, prev, ladder, max_buffer, cap,
+                        plan, pred, buf, prev, ladder, max_buffer, cap,
                     )
                     self._table[ti, bi, prev_axis] = (
                         _DEFER if decision is None else decision
@@ -194,12 +209,33 @@ class DecisionTable:
         buffer_level: float,
         prev_quality: Optional[int],
     ) -> Optional[int]:
-        """Nearest-neighbour decision (what FastMPC does at runtime): one
-        row of :meth:`lookup_batch`, so the two clamp alike."""
-        decision = int(self.lookup_batch(
-            [throughput], [buffer_level],
-            [-1 if prev_quality is None else prev_quality],
-        )[0])
+        """Nearest-neighbour decision (what FastMPC does at runtime).
+
+        The one-row form of :meth:`lookup_batch`, without its array calls
+        but with the same answer: the same clamps, the same low-tie
+        nearest-point rule (:func:`bisect.bisect_left` is the left-side
+        ``searchsorted``), and the query's log from ``np.log`` on a
+        one-element array, the loop the batch path runs, so a query a
+        hair from a midpoint between two grid points rounds as the batch
+        rounds it.  The service reaches it through
+        :meth:`lookup_observation` whenever a tier-0 row descends alone.
+        """
+        tput = float(throughput)
+        if not (math.isfinite(tput) and tput > 0):
+            tput = self._tput_floor
+        log_tput = np.log(np.array([tput])).item()
+        buf = float(buffer_level)
+        if not math.isfinite(buf):
+            buf = self.max_buffer if buf > 0 else 0.0
+        buf = min(max(buf, 0.0), self.max_buffer)
+        prev = -1 if prev_quality is None else int(prev_quality)
+        if not 0 <= prev < self.ladder.levels:
+            prev = -1
+        decision = int(self._table[
+            _nearest_index(self._log_tput_list, log_tput),
+            _nearest_index(self._buffer_list, buf),
+            prev + 1,
+        ])
         return None if decision == _DEFER else decision
 
     def lookup_observation(self, obs) -> Optional[int]:
@@ -241,13 +277,13 @@ class DecisionTable:
         """
         tput = np.asarray(throughputs, dtype=float).copy()
         bad = ~np.isfinite(tput) | (tput <= 0)
-        tput[bad] = float(self._tput_grid[0])
+        tput[bad] = self._tput_floor
         buf = np.nan_to_num(
             np.asarray(buffer_levels, dtype=float), nan=0.0,
             posinf=self.max_buffer, neginf=0.0,
         )
         buf = np.clip(buf, 0.0, self.max_buffer)
-        ti = self._nearest(np.log(self._tput_grid), np.log(tput))
+        ti = self._nearest(self._log_tput_grid, np.log(tput))
         bi = self._nearest(self._buffer_grid, buf)
         prev = np.asarray(prev_qualities, dtype=np.int64)
         prev = np.where(
@@ -449,8 +485,7 @@ class DecisionTable:
         self.max_buffer = max_buffer
         self.config = config
         self.version = version
-        self._tput_grid = tput_grid
-        self._buffer_grid = buffer_grid
+        self._set_grids(tput_grid, buffer_grid)
         self._table = table
         self.stats = TableStats(
             cells=cells,
@@ -486,6 +521,15 @@ class DecisionTable:
             f"{self.stats.memory_bytes / 1024:.0f} KiB "
             f"built in {self.stats.build_seconds:.2f}s>"
         )
+
+
+def _nearest_index(grid: List[float], value: float) -> int:
+    """:meth:`DecisionTable._nearest` for one value on a sorted list."""
+    idx = bisect.bisect_left(grid, value)
+    last = len(grid) - 1
+    lo = min(max(idx - 1, 0), last)
+    hi = min(idx, last)
+    return lo if value - grid[lo] <= grid[hi] - value else hi
 
 
 class TablePublisher:

@@ -73,10 +73,13 @@ def distill_policy(
     table.max_buffer = policy.max_buffer
     table.config = config or SodaConfig(solver_backend="fast")
     table.version = version
-    table._tput_grid = np.geomspace(
-        0.25 * ladder.min_bitrate, 4.0 * ladder.max_bitrate, throughput_points
+    table._set_grids(
+        np.geomspace(
+            0.25 * ladder.min_bitrate, 4.0 * ladder.max_bitrate,
+            throughput_points,
+        ),
+        np.linspace(0.0, policy.max_buffer, buffer_points),
     )
-    table._buffer_grid = np.linspace(0.0, policy.max_buffer, buffer_points)
     grid = np.full(
         (throughput_points, buffer_points, ladder.levels + 1),
         _DEFER,

@@ -56,10 +56,25 @@ class ThroughputPredictor(abc.ABC):
     repeats that scalar across the horizon (a constant throughput function,
     which §3.2 notes is what typical predictors output).  Predictors that can
     produce a different value per future interval override :meth:`predict`.
+
+    Whether a class forecasts a constant is decided once, when the class
+    is defined: ``_constant_forecast`` is true exactly when the class
+    inherits this base's :meth:`predict`.  SODA then asks such a predictor
+    for :meth:`predict_scalar` alone and carries the forecast as one float
+    (DESIGN §8); a wrapper patched onto ``predict`` later, as a tracer
+    does, changes neither the flag nor that path.
     """
 
     #: human-readable name used in result tables
     name: str = "predictor"
+
+    #: whether :meth:`predict` is this base's, i.e. the forecast is
+    #: :meth:`predict_scalar` repeated; set per class at definition
+    _constant_forecast: bool = True
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._constant_forecast = cls.predict is ThroughputPredictor.predict
 
     def reset(self) -> None:
         """Forget all history (start of a new session)."""

@@ -29,7 +29,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from ..abr.base import PlayerObservation
 from ..abr.resilient import validate_rung
@@ -152,20 +152,26 @@ class StatsCounters:
 
     def record_tier(self, decision: TierDecision) -> None:
         """Account one ladder answer (tier + intervention flags)."""
+        self.record_tiers((decision,))
+
+    def record_tiers(self, decisions: Sequence[TierDecision]) -> None:
+        """Account a run of ladder answers in one lock trip, as
+        :meth:`record_tier` accounts each (a tier-0 chunk's answers)."""
         with self._lock:
-            self.decisions += 1
-            if decision.tier == TIER_SOLVER:
-                self.tier0_decisions += 1
-            elif decision.tier == TIER_TABLE:
-                self.tier1_decisions += 1
-            else:
-                self.tier2_decisions += 1
-            if decision.deferred:
-                self.deferrals_resolved += 1
-            if decision.solver_error:
-                self.solver_errors += 1
-            if decision.overran:
-                self.deadline_overruns += 1
+            self.decisions += len(decisions)
+            for decision in decisions:
+                if decision.tier == TIER_SOLVER:
+                    self.tier0_decisions += 1
+                elif decision.tier == TIER_TABLE:
+                    self.tier1_decisions += 1
+                else:
+                    self.tier2_decisions += 1
+                if decision.deferred:
+                    self.deferrals_resolved += 1
+                if decision.solver_error:
+                    self.solver_errors += 1
+                if decision.overran:
+                    self.deadline_overruns += 1
 
     def record_batch(
         self, tier: int, count: int, deferred: int = 0

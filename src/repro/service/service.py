@@ -499,6 +499,8 @@ class DecisionService:
         full download log.  Non-finite or out-of-range inputs are clamped
         exactly like :meth:`~repro.core.lookup.DecisionTable.lookup_batch`
         — the sanitizer behaviour falls out of the table lookup itself.
+        The tier-0 rows and the floor read the columns as Python values,
+        clamped once per batch by :meth:`_column_rows`.
 
         Args:
             session_ids: aligned session identifiers.
@@ -519,9 +521,12 @@ class DecisionService:
         tputs = np.asarray(throughputs, dtype=float)
         bufs = np.asarray(buffers, dtype=float)
         prev_arr = np.asarray(prevs, dtype=np.int64)
+        tput_rows, buf_rows, prev_rows = self._column_rows(
+            tputs, bufs, prev_arr
+        )
 
         def tier0_obs(i: int) -> Tuple[PlayerObservation, bool]:
-            obs = self._obs_from_columns(tputs[i], bufs[i], prev_arr[i])
+            obs = self._observation(tput_rows[i], buf_rows[i], prev_rows[i])
             return obs, False
 
         rungs, tiers, flags, _latency = self._decide_batch(
@@ -586,8 +591,8 @@ class DecisionService:
                     chunk_tiers = self._decide_admitted_many(
                         items, deadline_at
                     )
+                self.counters.record_tiers(chunk_tiers)
                 for tier in chunk_tiers:
-                    self.counters.record_tier(tier)
                     rungs[solved] = tier.quality
                     tiers[solved] = tier.tier
                     flags[solved] |= (
@@ -635,10 +640,14 @@ class DecisionService:
         hold = (looked < 0) & valid_prev
         floor = (looked < 0) & ~valid_prev
         looked = np.where(hold, prevs[start:], looked)
-        for j in np.nonzero(floor)[0]:
-            looked[j] = self._floor_from_columns(
-                bufs[start + j], prevs[start + j]
+        floor_rows = np.flatnonzero(floor)
+        if floor_rows.size:
+            rows = floor_rows + start
+            _tputs, buf_rows, prev_rows = self._column_rows(
+                tputs[rows], bufs[rows], prevs[rows]
             )
+            for j, buf, prev in zip(floor_rows.tolist(), buf_rows, prev_rows):
+                looked[j] = self._floor_rung(buf, prev)
         rungs[start:] = looked
         tiers[start:] = np.where(floor, TIER_RULE, TIER_TABLE)
         flags[start:] = np.where(hold, FLAG_DEFERRED, 0)
@@ -656,42 +665,61 @@ class DecisionService:
         start: int,
     ) -> None:
         """Answer rows ``[start:]`` from the tier-2 floor."""
-        _tputs, bufs, prevs = columns
-        for i in range(start, len(rungs)):
-            rungs[i] = self._floor_from_columns(bufs[i], prevs[i])
+        tputs, bufs, prevs = columns
+        _tputs, buf_rows, prev_rows = self._column_rows(
+            tputs[start:], bufs[start:], prevs[start:]
+        )
+        for i, (buf, prev) in enumerate(zip(buf_rows, prev_rows), start):
+            rungs[i] = self._floor_rung(buf, prev)
         tiers[start:] = TIER_RULE
         self.counters.record_batch(TIER_RULE, len(rungs) - start)
 
-    def _obs_from_columns(
+    def _column_rows(
+        self, tputs: np.ndarray, bufs: np.ndarray, prevs: np.ndarray
+    ) -> Tuple[List[float], List[float], List[int]]:
+        """Columns as the Python values an observation holds, clamped in
+        one NumPy pass per batch rather than per row.
+
+        A throughput that is not finite and positive reads ``-1.0`` (no
+        history); a non-finite buffer reads 0, and every buffer is then
+        held inside ``[0, max_buffer]`` by the comparisons Python's
+        ``min``/``max`` make, so −0.0 stays −0.0; a previous rung outside
+        the ladder reads ``-1`` (none).
+        """
+        tput = np.where(np.isfinite(tputs) & (tputs > 0), tputs, -1.0)
+        buf = np.where(np.isfinite(bufs), bufs, 0.0)
+        buf = np.where(buf < 0.0, 0.0, buf)
+        buf = np.where(buf > self.max_buffer, float(self.max_buffer), buf)
+        prev = np.where((prevs >= 0) & (prevs < self.ladder.levels), prevs, -1)
+        return tput.tolist(), buf.tolist(), prev.tolist()
+
+    def _observation(
         self, tput: float, buffer_level: float, prev: int
     ) -> PlayerObservation:
-        """A minimal observation carrying the three column values."""
+        """A minimal observation carrying one row of :meth:`_column_rows`."""
         now = self.clock()
-        if np.isfinite(tput) and tput > 0:
+        if tput > 0:
             history: Tuple[ThroughputSample, ...] = (
                 ThroughputSample(
-                    start=now, duration=1.0, size=float(tput),
-                    throughput=float(tput),
+                    start=now, duration=1.0, size=tput, throughput=tput,
                 ),
             )
         else:
             history = ()
-        if not np.isfinite(buffer_level):
-            buffer_level = 0.0
-        levels = self.ladder.levels
         return PlayerObservation(
             wall_time=now,
             segment_index=0,
-            buffer_level=float(min(max(buffer_level, 0.0), self.max_buffer)),
+            buffer_level=buffer_level,
             max_buffer=self.max_buffer,
-            previous_quality=int(prev) if 0 <= prev < levels else None,
+            previous_quality=None if prev < 0 else prev,
             ladder=self.ladder,
             history=history,
         )
 
-    def _floor_from_columns(self, buffer_level: float, prev: int) -> int:
+    def _floor_rung(self, buffer_level: float, prev: int) -> int:
+        """The tier-2 floor for one row of :meth:`_column_rows`."""
         return self.degradation.floor_quality(
-            self._obs_from_columns(-1.0, buffer_level, prev)
+            self._observation(-1.0, buffer_level, prev)
         )
 
     def _finish(

@@ -592,7 +592,9 @@ class SolverBackend:
     :func:`repro.core.fastpath.solve_sessions_batch` — one session-axis
     pass over every previous rung — with the caps in the solve, and
     ``SodaController._finalize`` adds the horizon-1 retry and the defer
-    and top-rung fallbacks.  A defer answers ``-1``, as
+    and top-rung fallbacks.  Each row's prediction is one float, the
+    constant forecast ``decide`` builds, from the caps to ``_finalize``.
+    A defer answers ``-1``, as
     :class:`TableBackend` does.  Every decision is what
     ``SodaController.decide`` returns for the row's state, making this the
     reference point for how much fleet QoE the table approximation costs.
@@ -652,8 +654,8 @@ class SolverBackend:
         plans = solve_sessions_batch(requests)
         for i, req, plan in zip(rows, requests, plans):
             decision = controller._finalize(
-                plan, np.full(cfg.horizon, req.omega), req.buffer_level,
-                req.prev_quality, ladder, max_buffer, req.first_cap,
+                plan, req.omega, req.buffer_level, req.prev_quality, ladder,
+                max_buffer, req.first_cap,
             )
             out[i] = -1 if decision is None else decision
         return out

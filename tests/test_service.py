@@ -396,6 +396,23 @@ class TestHealth:
         assert snap.degraded_decisions == 2
         assert snap.shed_rate() == pytest.approx(0.5)
 
+    def test_record_tiers_counts_each_answer_as_record_tier_does(self):
+        answers = [
+            TierDecision(quality=2, tier=TIER_SOLVER),
+            TierDecision(quality=1, tier=TIER_SOLVER, deferred=True),
+            TierDecision(quality=3, tier=TIER_SOLVER, overran=True),
+            TierDecision(quality=1, tier=TIER_TABLE, solver_error=True),
+            TierDecision(quality=0, tier=TIER_RULE, deferred=True,
+                         overran=True),
+        ]
+        one_by_one, together = StatsCounters(), StatsCounters()
+        for answer in answers:
+            one_by_one.record_tier(answer)
+        together.record_tiers(answers)
+        together.record_tiers([])
+        assert together.snapshot() == one_by_one.snapshot()
+        assert together.snapshot().tier0_decisions == 3
+
     def test_health_snapshot_json(self, ladder):
         service = DecisionService(ladder, 20.0, table_points=0)
         service.decide("s", make_obs(ladder))

@@ -452,3 +452,46 @@ def test_scalar_lookup_reads_the_batch_lookups_cell(rows):
     for tput, buffer_level, prev, cell in zip(tputs, buffers, prevs, cells):
         expected = None if cell < 0 else int(cell)
         assert TABLE.lookup(tput, buffer_level, prev) == expected
+
+
+def _ulps_around(points, ulps=2):
+    out = []
+    for x in np.asarray(points, dtype=float).tolist():
+        up = down = x
+        out.append(x)
+        for _ in range(ulps):
+            up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+            out += [up, down]
+    return out
+
+
+def test_scalar_lookup_reads_the_batch_cell_next_to_every_midpoint():
+    """The one-row ``lookup`` bisects Python lists where ``lookup_batch``
+    searches arrays; a query within two ulps of a midpoint between two
+    grid points (in log space on the throughput axis), every grid point
+    and every out-of-range value must still land on the batch's cell."""
+    log_grid = np.log(TABLE.tput_grid)
+    tputs = (
+        _ulps_around(np.exp((log_grid[1:] + log_grid[:-1]) / 2))
+        + _ulps_around(TABLE.tput_grid, ulps=1)
+        + [0.0, -0.0, -1.0, 1e-300, 1e300, math.nan, math.inf, -math.inf]
+    )
+    grid = TABLE.buffer_grid
+    buffers = (
+        _ulps_around((grid[1:] + grid[:-1]) / 2)
+        + _ulps_around(grid, ulps=1)
+        + [-0.0, -1.0, 21.0, math.nan, math.inf, -math.inf]
+    )
+    levels = TABLE.ladder.levels
+    prevs = [None, -2, -1, *range(levels), levels]
+    rows = [(t, b, p) for t in tputs for b in buffers for p in prevs]
+    t_col, b_col, p_col = zip(*rows)
+    cells = TABLE.lookup_batch(
+        np.array(t_col), np.array(b_col),
+        np.array([-1 if p is None else p for p in p_col]),
+    ).tolist()
+    mismatches = [
+        row for row, cell in zip(rows, cells)
+        if TABLE.lookup(*row) != (None if cell < 0 else cell)
+    ]
+    assert mismatches == []
