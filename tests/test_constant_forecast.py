@@ -297,7 +297,7 @@ def _states(draw):
 
 
 class TestFloatPathProperty:
-    @settings(max_examples=150)
+    @settings(max_examples=150, deadline=None)
     @given(
         cls=st.sampled_from(CONSTANT),
         config=st.sampled_from(CONFIGS),
@@ -324,7 +324,7 @@ class TestFloatPathProperty:
         want = select_quality_batch([(ref, obs) for obs in states])
         _assert_same(fast, ref, _outcomes(got), _outcomes(want))
 
-    @settings(max_examples=150)
+    @settings(max_examples=150, deadline=None)
     @given(
         config=st.sampled_from(CONFIGS),
         ladder=st.sampled_from(LADDERS),
